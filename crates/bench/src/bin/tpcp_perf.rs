@@ -253,9 +253,8 @@ fn serve_echo(addr: std::net::SocketAddr, scripts: &[tpcp_serve::SessionScript])
 /// One `serve_fleet` repetition: a wide connection fleet (one session per
 /// connection, pipelined intervals, no queries) against an
 /// already-listening server. The fleet digest is thread-schedule
-/// independent, so the same script against the thread-per-connection
-/// baseline and the sharded worker-pool server must produce identical
-/// `LaneRun`s — the cross-mode equality assertion rides on that.
+/// independent, so every repetition of the same script produces the same
+/// `LaneRun`.
 fn serve_fleet(addr: std::net::SocketAddr, fleet: &tpcp_serve::FleetScript) -> LaneRun {
     let run = tpcp_serve::drive_fleet(addr, fleet)
         .unwrap_or_else(|e| panic!("serve_fleet run failed: {e}"));
@@ -621,35 +620,16 @@ fn main() -> ExitCode {
             "serve lane tripped the server's error paths"
         );
 
-        // Fleet lanes: the same wide fleet against the
-        // thread-per-connection single-lock baseline and the sharded
-        // worker-pool server. Repetitions are capped — each one opens
-        // (and the baseline mode threads) hundreds of connections.
+        // Fleet lane: a wide fleet against the sharded worker-pool
+        // server. Repetitions are capped — each one opens hundreds of
+        // connections.
         let fleet_iters = args.iters.clamp(1, 5);
         let fleet_connections: u64 = if args.smoke { 128 } else { 512 };
         let fleet_intervals: u64 = if args.smoke { 8 } else { 16 };
         let fleet = tpcp_serve::FleetScript::new(fleet_connections, fleet_intervals);
         println!(
-            "timing serve fleet lanes ({fleet_connections} connections, {fleet_iters} iters) ..."
+            "timing serve fleet lane ({fleet_connections} connections, {fleet_iters} iters) ..."
         );
-
-        let threads_handle = match spawn_fleet_server(0, 1, fleet_connections) {
-            Ok(handle) => handle,
-            Err(e) => {
-                eprintln!("tpcp-perf: cannot start the thread-per-connection fleet server: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let threads_addr = threads_handle.tcp_addr().expect("fleet server binds tcp");
-        let (threads_run, threads_samples) =
-            time_lane(fleet_iters, || serve_fleet(threads_addr, &fleet));
-        lanes.push(summarize(
-            "serve_fleet_threads",
-            &threads_samples,
-            threads_run.intervals,
-            threads_run.events,
-        ));
-        threads_handle.join();
 
         let pool_handle = match spawn_fleet_server(8, 16, fleet_connections) {
             Ok(handle) => handle,
@@ -667,19 +647,6 @@ fn main() -> ExitCode {
             pool_run.events,
         ));
         pool_handle.join();
-
-        assert_eq!(
-            threads_run, pool_run,
-            "the fleet digest must be bit-identical across serve modes"
-        );
-        let threads_rate = lanes[lanes.len() - 2].intervals_per_sec;
-        let pool_rate = lanes[lanes.len() - 1].intervals_per_sec;
-        if threads_rate > 0.0 {
-            println!(
-                "  serve fleet pool/threads speedup: {:.2}x",
-                pool_rate / threads_rate
-            );
-        }
     }
 
     bail_if_interrupted!(&args, suite.len(), totals, calibration, lanes);

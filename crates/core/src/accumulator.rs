@@ -1,7 +1,5 @@
 //! The accumulator table — step 2 of the tracking architecture.
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_trace::BranchEvent;
 
 use crate::snapshot::{self, SnapReader, SnapshotError};
@@ -43,7 +41,7 @@ pub(crate) fn mix64(pc: u64) -> u64 {
 /// assert_eq!(acc.total(), 150);
 /// assert_eq!(acc.counters().iter().sum::<u64>(), 150);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccumulatorTable {
     counters: Vec<u64>,
     total: u64,

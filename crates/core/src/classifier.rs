@@ -2,8 +2,6 @@
 //! signature table together with the paper's transition-phase and
 //! adaptive-threshold logic.
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_trace::BranchEvent;
 
 use crate::config::{BitSelectionMode, ClassifierConfig};
@@ -14,7 +12,7 @@ use crate::snapshot::{self, SnapReader, SnapshotError, SNAPSHOT_MAGIC};
 use crate::table::{MatchOutcome, SignatureTable};
 
 /// Detailed result of classifying one interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Classification {
     /// The phase the interval was classified into.
     pub phase_id: PhaseId,
@@ -52,7 +50,7 @@ pub struct Classification {
 /// assert!(!id.is_transition(), "min_count 0 assigns real IDs immediately");
 /// assert_eq!(c.phases_created(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseClassifier {
     config: ClassifierConfig,
     extractor: AnyExtractor,
@@ -65,7 +63,6 @@ pub struct PhaseClassifier {
     /// displaced entry's buffer comes back here. Steady-state
     /// classification therefore allocates only when a *new* signature is
     /// inserted. Scratch state, excluded from snapshots.
-    #[serde(skip)]
     scratch: Vec<u16>,
 }
 
@@ -689,18 +686,6 @@ mod tests {
         let a = manual.end_interval(1.5);
         let b = auto.classify_interval(events, 1.5);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn classifier_state_is_serializable() {
-        // The paper's 10M-instruction granularity is "at the level of
-        // context switching": an OS integrating this architecture must be
-        // able to save and restore per-process phase state. Compile-time
-        // check that the whole classifier state is (de)serializable.
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<PhaseClassifier>();
-        assert_serde::<SignatureTable>();
-        assert_serde::<Classification>();
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Classifier configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::extractor::ExtractorKind;
 
 /// How signature bits are chosen when compressing accumulators — the
 /// Section 4.2 design axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BitSelectionMode {
     /// Recompute the selection each interval from the average counter
     /// value (this paper's method).
@@ -21,7 +19,7 @@ pub enum BitSelectionMode {
 }
 
 /// Adaptive-threshold (phase splitting) parameters — Section 4.6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Relative CPI deviation that triggers a threshold tightening: when an
     /// interval's CPI differs from its phase's running average by more than
@@ -54,7 +52,7 @@ pub struct AdaptiveConfig {
 ///     .build();
 /// assert_eq!(cfg.accumulators, 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassifierConfig {
     /// Number of accumulator counters (signature dimensionality). Must be a
     /// power of two.
@@ -82,7 +80,6 @@ pub struct ClassifierConfig {
     /// signature dimensionality for every back-end. Defaults on
     /// deserialization so configurations saved before this field existed
     /// load as BBV.
-    #[serde(default)]
     pub extractor: ExtractorKind,
 }
 

@@ -5,12 +5,10 @@
 //! budget explicit so design points can be compared on cost as well as
 //! quality (e.g. Figure 2's table-size sweep doubles table bits per step).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ClassifierConfig;
 
 /// Storage bits implied by a classifier configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HardwareCost {
     /// Accumulator table bits (N counters × 24 bits).
     pub accumulator_bits: u64,

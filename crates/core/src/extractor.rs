@@ -28,8 +28,6 @@
 //!
 //! [`PhaseClassifier::end_interval_from`]: crate::PhaseClassifier::end_interval_from
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_trace::BranchEvent;
 
 use crate::accumulator::{mix64, AccumulatorTable, COUNTER_MAX};
@@ -48,7 +46,7 @@ pub type BbvExtractor = AccumulatorTable;
 /// interval. Selected per configuration via
 /// [`ClassifierConfig::extractor`](crate::ClassifierConfig); the engine
 /// shares one accumulation front-end per distinct `(kind, dims)` shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExtractorKind {
     /// Branch-PC BBV accumulation (the paper's architecture, Section 4.1).
     #[default]
@@ -196,7 +194,7 @@ const REGION_SHIFT: u32 = REGION_BYTES.trailing_zeros();
 /// let sig = ws.finalize_into(&ClassifierConfig::hpca2005(), Vec::new());
 /// assert_eq!(sig.weight(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkingSetExtractor {
     /// One slot per bucket, 0 or 1. Stored as `u64`s so the projection
     /// shares [`Signature::from_counters_in`] with the counting back-ends.
@@ -317,7 +315,7 @@ impl FeatureExtractor for WorkingSetExtractor {
 /// previous branch's PC is a loop back edge, hence taken. The inference
 /// is a deterministic function of the event stream, which is all the
 /// engine's shared-accumulation equivalence needs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchMixExtractor {
     /// `dims` counters: bucket `b`'s taken count at `2b`, not-taken at
     /// `2b + 1`. Saturating at the same 24-bit ceiling as the paper's
@@ -434,7 +432,7 @@ impl FeatureExtractor for BranchMixExtractor {
 /// [`PhaseClassifier`](crate::PhaseClassifier) owns and what the
 /// experiment engine shares across lanes of one shape. Dispatch is a
 /// match, so the per-event path stays monomorphic inside each variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AnyExtractor {
     /// The paper's accumulator table.
     Bbv(AccumulatorTable),
@@ -675,14 +673,5 @@ mod tests {
         assert_eq!(ExtractorKind::WorkingSet.label(), "working-set");
         assert_eq!(ExtractorKind::BranchMix.label(), "branch-mix");
         assert_eq!(ExtractorKind::default(), ExtractorKind::Bbv);
-    }
-
-    #[test]
-    fn extractors_serialize_round_trip() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<AnyExtractor>();
-        assert_serde::<ExtractorKind>();
-        assert_serde::<WorkingSetExtractor>();
-        assert_serde::<BranchMixExtractor>();
     }
 }

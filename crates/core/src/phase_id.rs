@@ -1,7 +1,5 @@
 //! Phase identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// The identifier of a phase produced by the classifier.
 ///
 /// ID 0 is reserved for the **transition phase** (Section 4.4): the shared
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!PhaseId::new(3).is_transition());
 /// assert_eq!(PhaseId::new(3).value(), 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PhaseId(u32);
 
 impl PhaseId {

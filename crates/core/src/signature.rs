@@ -1,7 +1,5 @@
 //! Compressed signatures with dynamic bit selection (Section 4.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::accumulator::AccumulatorTable;
 use crate::snapshot::{self, SnapReader, SnapshotError};
 
@@ -25,7 +23,7 @@ use crate::snapshot::{self, SnapReader, SnapshotError};
 /// assert_eq!(sel.compress(1 << 11), 0b100000);
 /// assert_eq!(sel.compress(u64::MAX), 0b111111); // saturates
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BitSelection {
     /// Lowest bit position copied.
     low_bit: u32,
@@ -102,7 +100,7 @@ impl BitSelection {
 /// total weight of both signatures so a similarity threshold is a fraction
 /// of "how different could they possibly be": 0 means identical code
 /// profiles, 1 means disjoint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
     dims: Vec<u16>,
     selection: BitSelection,

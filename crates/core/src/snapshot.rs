@@ -9,13 +9,13 @@
 //! and re-admit it later without the client observing a difference.
 //!
 //! The format is hand-rolled (magic `TPCPSNP1`, varints, f64 bit
-//! patterns) rather than serde-derived, because snapshots cross process
-//! boundaries and may be fed back corrupted: every declared count is
-//! bounded against the remaining input before allocation (the same
-//! OOM-guard idiom as the trace codec), every restored invariant the
-//! constructors would assert is re-checked as an error, and redundant
-//! derived state (signature weights, region counts, index masks, the simd
-//! column mirror) is recomputed rather than trusted.
+//! patterns) because snapshots cross process boundaries and may be fed
+//! back corrupted: every declared count is bounded against the remaining
+//! input before allocation (the same OOM-guard idiom as the trace codec),
+//! every restored invariant the constructors would assert is re-checked as
+//! an error, and redundant derived state (signature weights, region
+//! counts, index masks, the simd column mirror) is recomputed rather than
+//! trusted.
 
 use std::fmt;
 

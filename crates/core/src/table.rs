@@ -1,8 +1,6 @@
 //! The past-signature table (Figure 1) with LRU replacement and best-match
 //! similarity search.
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(feature = "simd")]
 use crate::columns::{ColumnStore, BLOCK};
 use crate::phase_id::PhaseId;
@@ -16,7 +14,7 @@ use crate::snapshot::{self, SnapReader, SnapshotError};
 /// phase (Section 4.4), a per-entry similarity threshold that the adaptive
 /// classifier can tighten (Section 4.6), and the running CPI statistics the
 /// tightening decision is based on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableEntry {
     /// The representative signature for this (proto-)phase.
     pub signature: Signature,
@@ -85,7 +83,7 @@ pub enum MatchOutcome {
 /// table.insert(sig.clone());
 /// assert!(matches!(table.find_best_match(&sig), MatchOutcome::Matched { .. }));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignatureTable {
     entries: Vec<TableEntry>,
     /// Column-major mirror of every entry's dimension vector, maintained

@@ -12,7 +12,7 @@
 //! handles. [`Engine::run`] then replays each distinct `(benchmark,
 //! params)` trace **exactly once**, fanning every interval out to all
 //! registered lanes, and fills the handles. The sweep is two-level:
-//! benchmarks are swept concurrently with crossbeam scoped threads, a
+//! benchmarks are swept concurrently on scoped threads, a
 //! group's classifier lanes share one accumulation pass per distinct
 //! accumulator count, and wide groups shard their lanes across spare
 //! workers (see DESIGN.md). Results are deterministic because

@@ -2,7 +2,7 @@
 //! two-level division of work.
 //!
 //! **Level 1 — groups.** [`Engine::run`] claims trace groups off a shared
-//! queue with a pool of crossbeam scoped worker threads. Each claimer
+//! queue with a pool of scoped worker threads. Each claimer
 //! loads its group's *encoded* trace bytes from the [`TraceCache`] and
 //! streams them with one [`drive`] pass over a [`StreamingDecoder`] — the
 //! trace is never materialized, so a worker's memory footprint is the
@@ -49,9 +49,9 @@
 //! [`Pending`]: crate::engine::Pending
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use tpcp_core::{AnyExtractor, ExtractorKind, FeatureExtractor};
@@ -211,9 +211,9 @@ impl Engine {
         let next = AtomicUsize::new(0);
         let stats = Mutex::new(EngineStats::default());
         let lane_failures: Mutex<Vec<LaneFailure>> = Mutex::new(Vec::new());
-        let scope_result = crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..claimers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     let Some(slot) = groups.get(i) else { break };
                     // Invariant: `next` hands out each index once, so no
@@ -326,11 +326,6 @@ impl Engine {
                 });
             }
         });
-        if let Err(payload) = scope_result {
-            // Only reachable through an engine bug in the claimer loop
-            // itself; every lane/sink/replay panic is caught above.
-            resume_unwind(payload);
-        }
         let mut stats = stats
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -512,7 +507,7 @@ struct Snapshot {
 /// bounded channel is shard backpressure, not decode work.
 struct BroadcastFrontEnd<'a> {
     accs: Vec<AnyExtractor>,
-    senders: Vec<crossbeam::channel::Sender<Arc<Snapshot>>>,
+    senders: Vec<mpsc::SyncSender<Arc<Snapshot>>>,
     collector: &'a GroupCollector,
     window: Option<Instant>,
 }
@@ -634,7 +629,11 @@ fn replay_group(
     let intervals = if sharded {
         let shard_lanes = split_lanes(keyed, shards);
         let abort = AtomicBool::new(false);
-        let scope_result = crossbeam::scope(|scope| {
+        // A shard thread that panics outside the per-lane isolation
+        // (probe-reduction bug) makes the scope panic once every shard
+        // has joined; the group-level catch turns that into a group
+        // failure.
+        std::thread::scope(|scope| {
             let mut front = BroadcastFrontEnd {
                 accs,
                 senders: Vec::with_capacity(shards),
@@ -642,10 +641,10 @@ fn replay_group(
                 window: ctx.collector.mark(),
             };
             for mut lanes in shard_lanes {
-                let (tx, rx) = crossbeam::channel::bounded::<Arc<Snapshot>>(SNAPSHOT_CHANNEL_DEPTH);
+                let (tx, rx) = mpsc::sync_channel::<Arc<Snapshot>>(SNAPSHOT_CHANNEL_DEPTH);
                 front.senders.push(tx);
                 let abort = &abort;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     while let Ok(snap) = rx.recv() {
                         let start = ctx.collector.mark();
                         end_interval_isolated(&mut lanes, &snap.accs, &snap.summary, ctx, start);
@@ -682,13 +681,7 @@ fn replay_group(
             drop(sinks);
             drop(front); // closes every shard channel; the scope joins
             intervals
-        });
-        match scope_result {
-            Ok(intervals) => intervals,
-            // A shard thread panicked outside the per-lane isolation
-            // (probe-reduction bug); escalate to the group-level catch.
-            Err(payload) => resume_unwind(payload),
-        }
+        })
     } else {
         let mut front = SharedFrontEnd {
             accs,

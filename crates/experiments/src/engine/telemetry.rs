@@ -43,7 +43,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::Serialize;
 use tpcp_trace::SkipStats;
 
 use crate::engine::error::lock_ignore_poison;
@@ -70,7 +69,7 @@ pub(crate) fn span_ns(start: Option<Instant>, end: Option<Instant>) -> u64 {
 /// Per-stage wall-clock totals, in nanoseconds. Stage totals sum time
 /// across worker threads, so on a multi-worker sweep they can exceed the
 /// run's wall clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
     /// Cache load (including quarantine repair and re-simulation).
     pub cache_load_ns: u64,
@@ -95,7 +94,7 @@ impl StageNanos {
 }
 
 /// How the trace cache behaved over one sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Loads served from a valid on-disk entry.
     pub hits: u64,
@@ -106,7 +105,7 @@ pub struct CacheCounters {
 }
 
 /// One classifier lane's share of a group's work.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaneTelemetry {
     /// The lane label (its classifier configuration).
     pub label: String,
@@ -142,7 +141,7 @@ impl LaneTelemetry {
 
 /// One trace group's telemetry: stage timings, interval count, shard
 /// fan-out, and per-lane slots.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupTelemetry {
     /// Per-stage timings for this group.
     pub stages: StageNanos,
@@ -163,7 +162,7 @@ pub struct GroupTelemetry {
 /// Returned inside [`EngineStats`](crate::EngineStats); field order in
 /// [`to_json`](Self::to_json) is fixed, and groups/lanes are sorted, so
 /// two snapshots of identical runs differ only in measured durations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     enabled: bool,
     wall_ns: u64,

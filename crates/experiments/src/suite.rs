@@ -345,14 +345,13 @@ impl TraceCache {
         let kinds = BenchmarkKind::ALL;
         let mut results: Vec<Option<(BenchmarkKind, RecordedTrace)>> =
             (0..kinds.len()).map(|_| None).collect();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (slot, &kind) in results.iter_mut().zip(kinds.iter()) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     *slot = Some((kind, self.load_or_simulate(kind, params)));
                 });
             }
-        })
-        .expect("suite simulation threads do not panic");
+        });
         results
             .into_iter()
             .map(|r| r.expect("every slot was filled"))
@@ -451,16 +450,15 @@ mod tests {
         let cache = TraceCache::new(&dir);
         let params = tiny_params();
         let mut traces: Vec<Option<RecordedTrace>> = (0..4).map(|_| None).collect();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for slot in traces.iter_mut() {
                 let cache = &cache;
                 let params = &params;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     *slot = Some(cache.load_or_simulate(BenchmarkKind::Mcf, params));
                 });
             }
-        })
-        .expect("cache race threads do not panic");
+        });
         let first = traces[0].as_ref().unwrap();
         assert!(traces.iter().all(|t| t.as_ref().unwrap() == first));
         // Every temp file was either renamed into place or cleaned up.

@@ -2,14 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 use crate::stats::Welford;
 
 /// Per-phase CPI statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseCov {
     /// The phase.
     pub phase: PhaseId,
@@ -75,7 +73,7 @@ impl CovAccumulator {
 }
 
 /// The paper's CoV summary of one phase classification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CovSummary {
     phases: Vec<PhaseCov>,
     whole: Welford,

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 use crate::stats::Welford;
@@ -103,7 +101,7 @@ impl VectorCovAccumulator {
 }
 
 /// Per-metric CoV summary of one classification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VectorCovSummary {
     labels: Vec<String>,
     per_phase: BTreeMap<PhaseId, Vec<Welford>>,

@@ -1,7 +1,5 @@
 //! Phase run length statistics (Figure 5 and Figure 9, left panel).
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 use crate::stats::Welford;
@@ -75,7 +73,7 @@ impl RunAccumulator {
 }
 
 /// Run-length statistics for one phase classification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunLengthStats {
     runs: Vec<(PhaseId, u64)>,
     stable: Welford,

@@ -1,7 +1,5 @@
 //! Streaming statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online algorithm for mean and variance.
 ///
 /// Numerically stable for long streams of close values (per-phase CPIs are
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((w.mean() - 5.0).abs() < 1e-12);
 /// assert!((w.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,

@@ -2,8 +2,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 use crate::assoc::AssocTable;
@@ -12,7 +10,7 @@ use crate::history::{HistoryKind, PhaseHistory};
 use crate::outcome_set::OutcomeSet;
 
 /// How a table entry's recorded outcomes are turned into a prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChangePolicy {
     /// Predict the most recently seen outcome (standard Markov/RLE).
     MostRecent,
@@ -236,7 +234,7 @@ fn entry_matches(entry: &ChangeEntry, policy: ChangePolicy, actual: PhaseId) -> 
 }
 
 /// Judgment of one phase change for Figure 8's five-way breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChangeJudgment {
     /// Confident and correct.
     ConfidentCorrect,
@@ -251,7 +249,7 @@ pub enum ChangeJudgment {
 }
 
 /// Aggregate Figure 8 counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChangeBreakdown {
     /// Confident, correct predictions.
     pub conf_correct: u64,

@@ -1,7 +1,5 @@
 //! Saturating confidence counters (Section 5.1).
 
-use serde::{Deserialize, Serialize};
-
 /// An N-bit saturating confidence counter.
 ///
 /// Incremented on correct predictions, decremented on incorrect ones; a
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// c.incorrect();
 /// assert!(!c.is_confident()); // 6 - 1 = 5 < 6
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfidenceCounter {
     value: u8,
     max: u8,

@@ -1,11 +1,9 @@
 //! Phase ID history tracking for Markov and RLE predictor indexing.
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 /// How a predictor indexes its table from the phase ID stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HistoryKind {
     /// Hash of the last `N` *unique* phase IDs (runs collapsed) — the
     /// paper's Markov-N predictors.
@@ -40,7 +38,7 @@ impl HistoryKind {
 /// assert_eq!(h.current_phase(), Some(PhaseId::new(2)));
 /// assert_eq!(h.current_run(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseHistory {
     /// Completed runs, most recent last: (phase, length).
     completed: Vec<(PhaseId, u64)>,

@@ -1,7 +1,5 @@
 //! Phase length prediction (Section 6.2, Figure 9).
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 use crate::assoc::AssocTable;
@@ -10,7 +8,7 @@ use crate::history::PhaseHistory;
 /// The paper's four run-length classes, in intervals of 10M instructions:
 /// 1–15 (10–150M instructions), 16–127 (150M–1.3B), 128–1023 (1.3B–10B),
 /// and ≥ 1024 (more than 10B instructions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RunLengthClass {
     /// 1–15 intervals.
     Short,
@@ -97,7 +95,7 @@ impl LengthEntry {
 
 /// The resolution of one phase-length prediction (produced when the
 /// predicted phase's run completes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LengthJudgment {
     /// Predicted run-length class.
     pub predicted: RunLengthClass,

@@ -1,7 +1,5 @@
 //! Next-interval phase prediction (Section 5.2, Figure 7).
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 use crate::change::{ChangePolicy, ChangePrediction, PhaseChangePredictor};
@@ -9,7 +7,7 @@ use crate::history::HistoryKind;
 use crate::last_value::LastValuePredictor;
 
 /// Which component produced a next-phase prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictionSource {
     /// The phase-change table (a confident Markov/RLE hit).
     ChangeTable,
@@ -41,7 +39,7 @@ impl ResolvedPrediction {
 }
 
 /// Figure 7's stacked accuracy breakdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NextPhaseBreakdown {
     /// Correct predictions from the change table.
     pub correct_table: u64,

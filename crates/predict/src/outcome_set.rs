@@ -1,8 +1,6 @@
 //! Bounded multisets of phase-change outcomes, supporting the paper's
 //! most-recent, Last-4, Top-1, and Top-4 prediction policies.
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_core::PhaseId;
 
 /// Maximum distinct outcomes tracked per table entry. Large enough for
@@ -15,7 +13,7 @@ const MAX_OUTCOMES: usize = 8;
 /// (for most-recent and Last-K policies) and occurrence counts (for Top-K
 /// policies). When full, the least frequent (oldest on tie) outcome is
 /// evicted.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct OutcomeSet {
     /// Most recent first.
     items: Vec<(PhaseId, u32)>,

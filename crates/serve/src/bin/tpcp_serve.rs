@@ -13,11 +13,10 @@
 //!            [--drain-deadline-ms N]
 //! ```
 //!
-//! `--workers 0` selects the thread-per-connection baseline; any other
-//! value serves every connection from that many pool workers behind a
-//! readiness loop. `--telemetry-interval-ms` (with `--telemetry PATH`)
-//! atomically rewrites the snapshot file on that period while running,
-//! instead of only at drain.
+//! Every connection is served by `--workers` pool workers (at least 1)
+//! behind one readiness loop. `--telemetry-interval-ms` (with
+//! `--telemetry PATH`) atomically rewrites the snapshot file on that
+//! period while running, instead of only at drain.
 //!
 //! Drive mode runs the deterministic client fleet against a server,
 //! optionally with transport chaos (requires the `fault-inject`
@@ -33,7 +32,8 @@
 //! pumped by a fixed set of client threads instead of one thread per
 //! session, and the run prints an order-insensitive digest of every
 //! classification — the same digest for the same session count and
-//! interval count, whatever serve mode or thread schedule produced it.
+//! interval count, whatever worker count, shard count or thread schedule
+//! produced it.
 //! `--fleet` and `--chaos` are mutually exclusive.
 
 use std::net::SocketAddr;
@@ -67,6 +67,13 @@ fn parse_u64(flag: &str, value: Option<&String>) -> Result<u64, String> {
         .map_err(|_| format!("{flag} expects an unsigned integer, got {value:?}"))
 }
 
+fn parse_at_least_one(flag: &str, value: Option<&String>) -> Result<usize, String> {
+    match parse_u64(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n as usize),
+    }
+}
+
 fn serve_main(args: &[String]) -> Result<ExitCode, String> {
     let mut config = ServeConfig::default();
     let mut telemetry_path: Option<PathBuf> = None;
@@ -86,14 +93,8 @@ fn serve_main(args: &[String]) -> Result<ExitCode, String> {
                 let path = it.next().ok_or("--telemetry requires a value")?;
                 telemetry_path = Some(PathBuf::from(path));
             }
-            "--workers" => config.workers = parse_u64(flag, it.next())? as usize,
-            "--shards" => {
-                let shards = parse_u64(flag, it.next())? as usize;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                config.shards = shards;
-            }
+            "--workers" => config.workers = parse_at_least_one(flag, it.next())?,
+            "--shards" => config.shards = parse_at_least_one(flag, it.next())?,
             "--telemetry-interval-ms" => {
                 config.telemetry_interval =
                     Some(Duration::from_millis(parse_u64(flag, it.next())?.max(1)));

@@ -347,7 +347,7 @@ impl FleetScript {
 /// Aggregate of a fleet run. The checksum folds every `Classified`
 /// response (keyed by session and sequence, so ordering within a session
 /// matters but thread interleaving does not) and must be identical
-/// across serve modes for the same script.
+/// across server configurations for the same script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetRun {
     /// Connections driven.
@@ -542,8 +542,8 @@ fn pump_fleet(addr: SocketAddr, sessions: &[u64], script: &FleetScript) -> io::R
 /// Drives a [`FleetScript`] against the server at `addr`: `connections`
 /// concurrent sessions pumped by `client_threads` threads, each keeping
 /// `pipeline` intervals in flight per connection. The returned digest is
-/// independent of thread scheduling, so runs against different serve
-/// modes are directly comparable.
+/// independent of thread scheduling, so runs against servers with any
+/// worker or shard count are directly comparable.
 pub fn drive_fleet(addr: SocketAddr, script: &FleetScript) -> io::Result<FleetRun> {
     let threads = script.client_threads.max(1);
     let sessions: Vec<u64> = (1..=script.connections).collect();
@@ -551,14 +551,13 @@ pub fn drive_fleet(addr: SocketAddr, script: &FleetScript) -> io::Result<FleetRu
         .map(|t| sessions.iter().skip(t).step_by(threads).copied().collect())
         .collect();
     let mut results: Vec<Option<io::Result<u64>>> = (0..threads).map(|_| None).collect();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, share) in results.iter_mut().zip(&shares) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(pump_fleet(addr, share, script));
             });
         }
-    })
-    .unwrap_or_else(|_| panic!("fleet pumper thread panicked"));
+    });
 
     let mut checksum = 0u64;
     for result in results {
@@ -581,15 +580,14 @@ pub fn drive_sessions(
 ) -> Vec<io::Result<Transcript>> {
     let mut results: Vec<Option<io::Result<Transcript>>> =
         (0..scripts.len()).map(|_| None).collect();
-    crossbeam::scope(|scope| {
+    // Session threads forward failures through their result slot.
+    std::thread::scope(|scope| {
         for (slot, script) in results.iter_mut().zip(scripts) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(run_session(addr, script, oracle, stall_hold));
             });
         }
-    })
-    // Session threads forward failures through their result slot.
-    .unwrap_or_else(|_| panic!("session driver thread panicked"));
+    });
     results
         .into_iter()
         .map(|r| r.unwrap_or_else(|| Err(io::Error::other("session thread produced no result"))))

@@ -9,11 +9,9 @@
 //!
 //! Robustness is the design driver, not an afterthought:
 //!
-//! - **Scalability** — by default connections are multiplexed through a
-//!   `poll(2)` readiness loop onto a small worker pool ([`server`] with
-//!   `workers > 0`), so a fleet of N clients costs N fds rather than N
-//!   threads; `workers = 0` keeps the thread-per-connection path as a
-//!   baseline.
+//! - **Scalability** — connections are multiplexed through one
+//!   `poll(2)` readiness loop onto a small worker pool ([`server`]), so
+//!   a fleet of N clients costs N fds rather than N threads.
 //! - **Sharding** — session state lives in a [`ShardedStore`]: the
 //!   session id hashes to one of `shards` independently locked
 //!   [`SessionStore`]s, each a bounded LRU with its own parked tier, so

@@ -1,7 +1,7 @@
-//! The worker-pool serve mode: one dispatcher thread multiplexing every
-//! connection fd through `poll(2)`, and a small fixed pool of workers
-//! doing the reads, decodes, classifier work, and writes — so N
-//! connections cost N fds, not N threads.
+//! The serve loop: one dispatcher thread multiplexing every connection
+//! fd through `poll(2)`, and a small fixed pool of workers doing the
+//! reads, decodes, classifier work, and writes — so N connections cost
+//! N fds, not N threads.
 //!
 //! # Shape
 //!
@@ -36,7 +36,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -46,6 +46,7 @@ use tpcp_trace::{FrameDecoder, FrameError};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{self, DecodeFailure, ErrorCode, Response};
 use crate::server::{execute, BackoffGate, ServeConfig, Shared};
+use crate::session::lock_ignore_poison;
 use crate::telemetry::{ServeCounters, ServeTelemetry};
 
 /// A connection's transport, unified across listener kinds.
@@ -248,7 +249,6 @@ fn accept_stream(
     if is_tcp {
         match tcp.map(TcpListener::accept) {
             Some(Ok((stream, _))) => {
-                // Same socket shaping as the thread-per-connection path:
                 // Nagle off (small latency-bound responses), and
                 // nonblocking because every read/write happens under the
                 // readiness loop.
@@ -295,8 +295,8 @@ pub(crate) fn pool_loop(
     }
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let (ret_tx, ret_rx) = mpsc::channel::<Return>();
-    let job_rx = Arc::new(parking_lot::Mutex::new(job_rx));
-    let workers: Vec<_> = (0..config.workers.max(1))
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    let workers: Vec<_> = (0..shared.workers)
         .map(|_| {
             let jobs = Arc::clone(&job_rx);
             let ret = ret_tx.clone();
@@ -314,6 +314,8 @@ pub(crate) fn pool_loop(
     let mut in_flight = 0usize;
     let mut next_id = 1u64;
     let mut listeners_dropped = false;
+    // When drain must finish: armed on the first draining pass.
+    let mut drain_by: Option<Instant> = None;
     let cap = config.response_queue.max(1);
     let tick = config
         .read_timeout
@@ -363,7 +365,7 @@ pub(crate) fn pool_loop(
                 close_conn(&shared, conn);
                 continue;
             }
-            if shared.draining() && shared.past_drain_deadline() {
+            if drain_by.is_some_and(|by| Instant::now() >= by) {
                 let mut conn = conn;
                 conn.push_response(&shared, &Response::Draining);
                 close_conn(&shared, conn);
@@ -382,7 +384,7 @@ pub(crate) fn pool_loop(
         // 2. Drain protocol.
         let draining = shared.draining();
         if draining {
-            shared.arm_drain_deadline(config.drain_deadline);
+            let by = *drain_by.get_or_insert_with(|| Instant::now() + config.drain_deadline);
             if !listeners_dropped {
                 // Dropping the listeners closes their fds, so new
                 // connects are refused from this point on.
@@ -390,7 +392,7 @@ pub(crate) fn pool_loop(
                 unix = None;
                 listeners_dropped = true;
             }
-            if shared.past_drain_deadline() {
+            if Instant::now() >= by {
                 for (_, mut conn) in parked.drain() {
                     conn.push_response(&shared, &Response::Draining);
                     close_conn(&shared, conn);
@@ -584,20 +586,13 @@ pub(crate) fn pool_loop(
 /// turn, hands it back, and nudges the dispatcher. Per-worker scratch
 /// buffers (events + read chunk) are reused across every turn. A panic
 /// in a turn (an internal bug) costs that connection, never the pool.
-fn worker_loop(
-    jobs: &parking_lot::Mutex<mpsc::Receiver<Job>>,
-    ret: &mpsc::Sender<Return>,
-    shared: &Shared,
-) {
+fn worker_loop(jobs: &Mutex<mpsc::Receiver<Job>>, ret: &mpsc::Sender<Return>, shared: &Shared) {
     let mut scratch: Vec<BranchEvent> = Vec::new();
     let mut chunk = vec![0u8; 16 * 1024];
     loop {
         // Hold the receiver lock only for the blocking take, never
         // during a turn.
-        let job = {
-            let rx = jobs.lock();
-            rx.recv()
-        };
+        let job = lock_ignore_poison(jobs).recv();
         let Ok(mut job) = job else {
             return;
         };

@@ -1,7 +1,7 @@
-//! The serve loop: a readiness-driven worker pool (default) or a
-//! thread-per-connection fallback, over a sharded session store, with
-//! per-listener accept backoff, per-connection deadlines, bounded
-//! per-connection response queues, and graceful drain.
+//! The server: a readiness-driven worker pool (the serve loop itself is
+//! in `pool.rs`) over a sharded session store, with per-listener accept
+//! backoff, per-connection deadlines, bounded per-connection response
+//! queues, and graceful drain.
 //!
 //! # Failure model
 //!
@@ -17,7 +17,7 @@
 //!   deadline; sessions survive for the next connection to resume;
 //! - a **slow reader** fills only its own bounded response queue — its
 //!   connection stops being read while every other connection keeps
-//!   flowing (the session-store locks are never held across a send);
+//!   flowing (the session-store locks are never held across a write);
 //! - **memory pressure** parks LRU sessions as snapshots instead of
 //!   growing without bound (see [`SessionStore`](crate::SessionStore));
 //! - a **failing listener** backs off exponentially *on its own gate*
@@ -27,22 +27,20 @@
 //!   accepting, lets in-flight work flush within a deadline, then
 //!   freezes a final telemetry snapshot.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use tpcp_core::BranchEvent;
-use tpcp_trace::{FrameError, FrameReader, FrameWriter};
 
-use crate::poll::{self, PollFd, POLLIN};
-use crate::protocol::{self, DecodeFailure, ErrorCode, FastRequest, Response};
-use crate::session::{ShardedStore, StoreError};
+use crate::protocol::{ErrorCode, FastRequest, Response};
+use crate::session::{lock_ignore_poison, ShardedStore, StoreError};
 use crate::telemetry::{ServeCounters, ServeTelemetry};
 
 /// Forced accept failures, for fault-injection tests: each listed
@@ -70,8 +68,7 @@ pub struct ServeConfig {
     /// evenly across shards, rounding up).
     pub max_parked: usize,
     /// Worker threads multiplexing connections via the readiness loop.
-    /// `0` selects the thread-per-connection fallback, kept as the
-    /// scaling baseline the `serve_fleet` perf lane measures against.
+    /// At least one worker runs: `0` is served as `1`.
     pub workers: usize,
     /// Session-store shards (each an independently locked LRU).
     pub shards: usize,
@@ -131,16 +128,15 @@ pub(crate) struct Shared {
     stop: AtomicBool,
     /// Set when the serve loop has exited (stops the telemetry thread).
     finished: AtomicBool,
-    /// The wall-clock moment drain must finish, set when drain begins.
-    drain_by: Mutex<Option<Instant>>,
     pub(crate) read_timeout: Duration,
     pub(crate) idle_timeout: Duration,
     pub(crate) write_timeout: Duration,
     pub(crate) response_queue: usize,
-    workers: usize,
-    /// Write half of the pool's self-wake pipe: nudges the dispatcher
-    /// out of `poll` when a worker returns a connection or drain begins.
-    waker: Mutex<Option<std::os::unix::net::UnixStream>>,
+    /// Pool workers that run (the configured count, at least one).
+    pub(crate) workers: usize,
+    /// Write half of the self-wake pipe: nudges the dispatcher out of
+    /// `poll` when a worker returns a connection or drain begins.
+    waker: UnixStream,
     /// Coalesces wakes: set by the first waker, cleared by the
     /// dispatcher at the top of its loop. While set, further wakes are
     /// free — the dispatcher is already committed to another pass, so a
@@ -155,19 +151,18 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(config: &ServeConfig) -> Self {
+    fn new(config: &ServeConfig, waker: UnixStream) -> Self {
         Self {
             store: ShardedStore::new(config.shards, config.max_live, config.max_parked),
             counters: ServeCounters::default(),
             stop: AtomicBool::new(false),
             finished: AtomicBool::new(false),
-            drain_by: Mutex::new(None),
             read_timeout: config.read_timeout,
             idle_timeout: config.idle_timeout,
             write_timeout: config.write_timeout,
             response_queue: config.response_queue,
-            workers: config.workers,
-            waker: Mutex::new(None),
+            workers: config.workers.max(1),
+            waker,
             wake_pending: AtomicBool::new(false),
             latest: Mutex::new(None),
             fault_tcp: AtomicU64::new(config.accept_faults.tcp),
@@ -179,34 +174,16 @@ impl Shared {
         self.stop.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn past_drain_deadline(&self) -> bool {
-        match *self.drain_by.lock() {
-            Some(by) => Instant::now() >= by,
-            None => false,
-        }
-    }
-
-    /// Arms the drain deadline (idempotent; first caller wins).
-    pub(crate) fn arm_drain_deadline(&self, deadline: Duration) {
-        let mut by = self.drain_by.lock();
-        if by.is_none() {
-            *by = Some(Instant::now() + deadline);
-        }
-    }
-
-    /// Nudges the pool dispatcher out of its poll wait. No-op in
-    /// thread-per-connection mode (nothing polls).
+    /// Nudges the dispatcher out of its poll wait.
     pub(crate) fn wake(&self) {
         if self.wake_pending.swap(true, Ordering::SeqCst) {
             // A wake is already in flight; the dispatcher will see our
             // work when it runs its pass.
             return;
         }
-        if let Some(mut tx) = self.waker.lock().as_ref() {
-            // A WouldBlock here means the pipe is full, which already
-            // guarantees a pending wakeup.
-            let _ = tx.write(&[1u8]);
-        }
+        // A WouldBlock here means the pipe is full, which already
+        // guarantees a pending wakeup.
+        let _ = (&self.waker).write(&[1u8]);
     }
 
     /// Re-arms wake coalescing; the dispatcher calls this at the top of
@@ -346,7 +323,7 @@ impl ServerHandle {
     /// The most recent periodic snapshot, if `telemetry_interval` was
     /// configured and at least one tick has fired.
     pub fn latest_periodic(&self) -> Option<ServeTelemetry> {
-        self.shared.latest.lock().clone()
+        lock_ignore_poison(&self.shared.latest).clone()
     }
 
     /// Drains (if not already draining) and waits for the final telemetry
@@ -372,12 +349,7 @@ impl Server {
     /// background thread. Fails only on bind errors; everything after is
     /// handled inside the loop.
     pub fn spawn(config: ServeConfig) -> io::Result<ServerHandle> {
-        // The std bind backlog (128) drops SYNs under a connect storm —
-        // hundreds of clients arriving inside one scheduling quantum —
-        // and every dropped SYN costs that client a full TCP
-        // retransmission timeout. Deepen the queue to cover the largest
-        // fleet the store is provisioned for.
-        let backlog = (config.max_live + config.max_parked).max(1024) as u32;
+        let backlog = listen_backlog(config.max_live, config.max_parked);
         let tcp = match &config.tcp {
             Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
@@ -393,13 +365,16 @@ impl Server {
             Some(path) => {
                 // A stale socket file from a previous run blocks the bind.
                 let _ = std::fs::remove_file(path);
-                let listener = std::os::unix::net::UnixListener::bind(path)?;
+                let listener = UnixListener::bind(path)?;
                 crate::poll::set_listen_backlog(listener.as_raw_fd(), backlog)?;
                 Some(listener)
             }
             None => None,
         };
-        let shared = Arc::new(Shared::new(&config));
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let shared = Arc::new(Shared::new(&config, wake_tx));
         let loop_shared = Arc::clone(&shared);
         let unix_path = config.unix.clone();
         let telemetry_thread = config.telemetry_interval.map(|interval| {
@@ -407,15 +382,8 @@ impl Server {
             let path = config.telemetry_path.clone();
             thread::spawn(move || telemetry_loop(&shared, interval, path.as_deref()))
         });
-        let thread = if config.workers == 0 {
-            thread::spawn(move || accept_loop(tcp, unix, config, loop_shared))
-        } else {
-            let (wake_rx, wake_tx) = std::os::unix::net::UnixStream::pair()?;
-            wake_rx.set_nonblocking(true)?;
-            wake_tx.set_nonblocking(true)?;
-            *shared.waker.lock() = Some(wake_tx);
-            thread::spawn(move || crate::pool::pool_loop(tcp, unix, wake_rx, config, loop_shared))
-        };
+        let thread =
+            thread::spawn(move || crate::pool::pool_loop(tcp, unix, wake_rx, config, loop_shared));
         Ok(ServerHandle {
             tcp_addr,
             unix_path,
@@ -424,6 +392,18 @@ impl Server {
             telemetry_thread,
         })
     }
+}
+
+/// The listen backlog for a store provisioned for `max_live + max_parked`
+/// sessions, at least 1024. The std bind backlog (128) drops SYNs under a
+/// connect storm — hundreds of clients arriving inside one scheduling
+/// quantum — and every dropped SYN costs that client a full TCP
+/// retransmission timeout. The sum saturates and clamps to `u32::MAX`,
+/// so a huge capacity never wraps or truncates below the floor.
+fn listen_backlog(max_live: usize, max_parked: usize) -> u32 {
+    u32::try_from(max_live.saturating_add(max_parked))
+        .unwrap_or(u32::MAX)
+        .max(1024)
 }
 
 /// The periodic-telemetry thread: every `interval`, freeze a live
@@ -443,7 +423,7 @@ fn telemetry_loop(shared: &Shared, interval: Duration, path: Option<&std::path::
         if let Some(path) = path {
             let _ = write_atomic(path, snapshot.to_json().as_bytes());
         }
-        *shared.latest.lock() = Some(snapshot);
+        *lock_ignore_poison(&shared.latest) = Some(snapshot);
     }
 }
 
@@ -453,331 +433,6 @@ pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> io::Result<(
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
-}
-
-/// The thread-per-connection serve loop (`workers = 0`): polls the
-/// listeners for readiness, spawning a reader + writer thread pair per
-/// connection. Kept as the scaling baseline the worker pool is measured
-/// against, and for its simpler failure surface.
-fn accept_loop(
-    tcp: Option<TcpListener>,
-    unix: Option<std::os::unix::net::UnixListener>,
-    config: ServeConfig,
-    shared: Arc<Shared>,
-) -> ServeTelemetry {
-    if let Some(listener) = &tcp {
-        let _ = listener.set_nonblocking(true);
-    }
-    if let Some(listener) = &unix {
-        let _ = listener.set_nonblocking(true);
-    }
-    // One backoff gate per listener (satellite fix): a failing TCP
-    // listener closes only its own gate, so the Unix listener keeps
-    // accepting at full speed, and vice versa.
-    let mut tcp_gate = BackoffGate::new();
-    let mut unix_gate = BackoffGate::new();
-    let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-    let tick = Duration::from_millis(20);
-    while !shared.draining() {
-        let now = Instant::now();
-        let mut fds: Vec<PollFd> = Vec::with_capacity(2);
-        let mut which: Vec<bool> = Vec::with_capacity(2); // true = tcp
-        if let Some(listener) = &tcp {
-            if tcp_gate.ready(now) {
-                fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-                which.push(true);
-            }
-        }
-        if let Some(listener) = &unix {
-            if unix_gate.ready(now) {
-                fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-                which.push(false);
-            }
-        }
-        // Wake at the drain-check tick or when a closed gate reopens,
-        // whichever is sooner.
-        let mut timeout = tick;
-        for gate in [&tcp_gate, &unix_gate] {
-            if let Some(delay) = gate.time_to_retry(now) {
-                timeout = timeout.min(delay.max(Duration::from_millis(1)));
-            }
-        }
-        // Both gates closed (nothing to poll) and a failed poll pace
-        // the loop the same way: sleep out the timeout.
-        if fds.is_empty() || poll::poll(&mut fds, timeout).is_err() {
-            thread::sleep(timeout);
-        }
-        for (slot, &is_tcp) in fds.iter().zip(&which) {
-            // A fault-injected listener is attempted even without a
-            // queued connection, so its forced failures actually fire.
-            if !slot.ready() && !shared.accept_fault_pending(is_tcp) {
-                continue;
-            }
-            let gate = if is_tcp {
-                &mut tcp_gate
-            } else {
-                &mut unix_gate
-            };
-            loop {
-                let accepted = match (is_tcp, &tcp, &unix) {
-                    (true, Some(listener), _) => accept_tcp(listener, &config, &shared),
-                    (false, _, Some(listener)) => accept_unix(listener, &config, &shared),
-                    // A listener only enters the poll set if configured.
-                    _ => break,
-                };
-                match accepted {
-                    Accepted::Conn(handle) => {
-                        connections.push(handle);
-                        gate.success();
-                    }
-                    Accepted::WouldBlock => break,
-                    Accepted::Failed => {
-                        let counter = if is_tcp {
-                            &shared.counters.accept_failures_tcp
-                        } else {
-                            &shared.counters.accept_failures_unix
-                        };
-                        ServeCounters::bump(counter);
-                        gate.failure(Instant::now());
-                        break;
-                    }
-                }
-            }
-        }
-        // Reap finished connection threads so the handle list stays
-        // bounded by *live* connections.
-        connections.retain(|h| !h.is_finished());
-    }
-    // Drain: arm the deadline every connection thread checks, then wait
-    // for them. The deadline guarantees each loop exits within one read
-    // tick of it, so these joins are bounded.
-    shared.arm_drain_deadline(config.drain_deadline);
-    for handle in connections {
-        let _ = handle.join();
-    }
-    if let Some(path) = &config.unix {
-        let _ = std::fs::remove_file(path);
-    }
-    shared.freeze(true)
-}
-
-/// One accept attempt's outcome, unified across listener kinds.
-enum Accepted {
-    /// A connection arrived and its threads were spawned.
-    Conn(thread::JoinHandle<()>),
-    /// Nothing pending.
-    WouldBlock,
-    /// The listener failed transiently (backoff and retry).
-    Failed,
-}
-
-fn accept_tcp(listener: &TcpListener, config: &ServeConfig, shared: &Arc<Shared>) -> Accepted {
-    if shared.take_accept_fault(true) {
-        return Accepted::Failed;
-    }
-    match listener.accept() {
-        Ok((stream, _)) => spawn_connection(stream, config, shared),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Accepted::WouldBlock,
-        Err(_) => Accepted::Failed,
-    }
-}
-
-fn accept_unix(
-    listener: &std::os::unix::net::UnixListener,
-    config: &ServeConfig,
-    shared: &Arc<Shared>,
-) -> Accepted {
-    if shared.take_accept_fault(false) {
-        return Accepted::Failed;
-    }
-    match listener.accept() {
-        Ok((stream, _)) => spawn_unix_connection(stream, config, shared),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Accepted::WouldBlock,
-        Err(_) => Accepted::Failed,
-    }
-}
-
-fn spawn_connection(stream: TcpStream, config: &ServeConfig, shared: &Arc<Shared>) -> Accepted {
-    // Frames are latency-bound request/response units; Nagle delays on
-    // small responses read as server-side stalls to a deadline-running
-    // client.
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let Ok(write_half) = stream.try_clone() else {
-        return Accepted::Failed;
-    };
-    ServeCounters::bump(&shared.counters.connections);
-    let shared = Arc::clone(shared);
-    Accepted::Conn(thread::spawn(move || {
-        serve_connection(stream, write_half, &shared);
-    }))
-}
-
-fn spawn_unix_connection(
-    stream: std::os::unix::net::UnixStream,
-    config: &ServeConfig,
-    shared: &Arc<Shared>,
-) -> Accepted {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let Ok(write_half) = stream.try_clone() else {
-        return Accepted::Failed;
-    };
-    ServeCounters::bump(&shared.counters.connections);
-    let shared = Arc::clone(shared);
-    Accepted::Conn(thread::spawn(move || {
-        serve_connection(stream, write_half, &shared);
-    }))
-}
-
-/// Outcome of handling one decoded frame.
-enum FrameOutcome {
-    /// Keep reading.
-    Continue,
-    /// Stop reading (the stream is unrecoverable or the client closed).
-    Close,
-}
-
-/// Serves one connection: reads frames on this thread, writes responses
-/// from a dedicated writer thread fed by a bounded queue, so a peer that
-/// stops reading blocks only this connection.
-fn serve_connection<R: Read, W: Write + Send + 'static>(read: R, write: W, shared: &Arc<Shared>) {
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(shared.response_queue.max(1));
-    let writer = {
-        let shared = Arc::clone(shared);
-        thread::spawn(move || {
-            let mut frames = FrameWriter::new(write);
-            while let Ok(payload) = rx.recv() {
-                let ok = frames.write_frame(&payload).is_ok();
-                shared
-                    .counters
-                    .queued_responses
-                    .fetch_sub(1, Ordering::Relaxed);
-                if !ok {
-                    // Write deadline or broken pipe: stop draining the
-                    // queue; the closed channel unblocks the reader.
-                    break;
-                }
-                ServeCounters::bump(&shared.counters.frames_written);
-            }
-        })
-    };
-    // Sends the encoded response, maintaining the queue-depth gauge.
-    let push = |payload: Vec<u8>| -> Result<(), ()> {
-        shared
-            .counters
-            .queued_responses
-            .fetch_add(1, Ordering::Relaxed);
-        tx.send(payload).map_err(|_| {
-            shared
-                .counters
-                .queued_responses
-                .fetch_sub(1, Ordering::Relaxed);
-        })
-    };
-
-    let mut reader = FrameReader::new(read);
-    // Reused per-frame scratch: one decode fills it, one batched
-    // `observe` drains it — no per-event dispatch, no per-frame Vec.
-    let mut scratch: Vec<BranchEvent> = Vec::new();
-    let mut idle = Duration::ZERO;
-    loop {
-        if shared.draining() && shared.past_drain_deadline() {
-            let _ = push(Response::Draining.encode());
-            break;
-        }
-        match reader.read_frame() {
-            Ok(None) => break,
-            Ok(Some(payload)) => {
-                idle = Duration::ZERO;
-                ServeCounters::bump(&shared.counters.frames_read);
-                match handle_frame(payload, shared, &mut scratch, &push) {
-                    FrameOutcome::Continue => {}
-                    FrameOutcome::Close => break,
-                }
-            }
-            Err(FrameError::Idle) => {
-                if shared.draining() {
-                    let _ = push(Response::Draining.encode());
-                    break;
-                }
-                idle += shared.read_timeout;
-                if idle >= shared.idle_timeout {
-                    ServeCounters::bump(&shared.counters.idle_closes);
-                    break;
-                }
-            }
-            Err(FrameError::Stalled) => {
-                ServeCounters::bump(&shared.counters.stalled_closes);
-                break;
-            }
-            Err(FrameError::Truncated) => {
-                ServeCounters::bump(&shared.counters.truncated_closes);
-                break;
-            }
-            Err(FrameError::Oversized { declared }) => {
-                // The prefix lied, so the stream offset is gone — answer
-                // the error, then close.
-                ServeCounters::bump(&shared.counters.oversized_frames);
-                let _ = push(
-                    Response::Error {
-                        session: 0,
-                        code: ErrorCode::Oversized,
-                        detail: format!("declared frame length {declared}"),
-                    }
-                    .encode(),
-                );
-                break;
-            }
-            Err(FrameError::Io(_)) => break,
-        }
-    }
-    drop(tx);
-    let _ = writer.join();
-}
-
-/// Decodes and executes one frame, sending the response (if any) through
-/// the connection's bounded queue. Store work happens under the owning
-/// shard's lock; the send happens after it is released, so a blocked
-/// send never stalls other connections' store access.
-fn handle_frame(
-    payload: &[u8],
-    shared: &Shared,
-    scratch: &mut Vec<BranchEvent>,
-    push: &dyn Fn(Vec<u8>) -> Result<(), ()>,
-) -> FrameOutcome {
-    let request = match protocol::decode_request_into(payload, scratch) {
-        Ok(request) => request,
-        Err(DecodeFailure {
-            session,
-            code,
-            error,
-        }) => {
-            // Malformed payload inside a well-formed frame: the stream
-            // stays frame-aligned, so answer and keep the connection.
-            ServeCounters::bump(&shared.counters.malformed_frames);
-            let _ = push(
-                Response::Error {
-                    session,
-                    code,
-                    detail: error.to_string(),
-                }
-                .encode(),
-            );
-            return FrameOutcome::Continue;
-        }
-    };
-    if let Some(response) = execute(shared, request, scratch) {
-        // This send is the per-connection backpressure point: it blocks
-        // when this client stops reading, and only then.
-        if push(response.encode()).is_err() {
-            return FrameOutcome::Close;
-        }
-    }
-    FrameOutcome::Continue
 }
 
 /// Maps a store error to its protocol response.
@@ -801,9 +456,8 @@ fn store_error(session: u64, err: &StoreError) -> Response {
 }
 
 /// Executes one decoded request against the sharded store, returning the
-/// response to send (if any). Shared verbatim by both serve modes, so
-/// their per-request semantics cannot diverge. Only the named session's
-/// shard is locked, and never across a send.
+/// response to send (if any). Only the named session's shard is locked,
+/// and never across a write.
 pub(crate) fn execute(
     shared: &Shared,
     request: FastRequest,
@@ -824,14 +478,14 @@ pub(crate) fn execute(
                     detail: "session id 0 is reserved".to_owned(),
                 })
             } else {
-                match shared.store.shard(session).lock().open(session, extractor) {
+                match shared.store.lock(session).open(session, extractor) {
                     Ok(()) => Some(Response::Ok { session }),
                     Err(e) => Some(store_error(session, &e)),
                 }
             }
         }
         FastRequest::Events { session } => {
-            let mut shard = shared.store.shard(session).lock();
+            let mut shard = shared.store.lock(session);
             match shard.touch(session) {
                 Ok(live) => {
                     // One batched call per frame — the accumulate hot
@@ -858,7 +512,7 @@ pub(crate) fn execute(
                 });
             }
             let result = {
-                let mut shard = shared.store.shard(session).lock();
+                let mut shard = shared.store.lock(session);
                 shard.touch(session).map(|live| live.end_interval(cpi))
             };
             match result {
@@ -876,7 +530,7 @@ pub(crate) fn execute(
         }
         FastRequest::Query { session, kind } => {
             let result = {
-                let mut shard = shared.store.shard(session).lock();
+                let mut shard = shared.store.lock(session);
                 shard.touch(session).map(|live| live.query(kind))
             };
             match result {
@@ -891,7 +545,7 @@ pub(crate) fn execute(
                 Err(e) => Some(store_error(session, &e)),
             }
         }
-        FastRequest::Close { session } => match shared.store.shard(session).lock().close(session) {
+        FastRequest::Close { session } => match shared.store.lock(session).close(session) {
             Ok(()) => Some(Response::Ok { session }),
             Err(e) => Some(store_error(session, &e)),
         },
@@ -949,5 +603,17 @@ mod tests {
             Some(Duration::from_millis(1)),
             "success must reset the backoff to its minimum"
         );
+    }
+
+    #[test]
+    fn listen_backlog_saturates_instead_of_wrapping_below_the_floor() {
+        assert_eq!(listen_backlog(0, 0), 1024);
+        assert_eq!(listen_backlog(256, 1024), 1280);
+        // 2^32 used to truncate to 0 and 2^32 + 256 to 256.
+        assert_eq!(listen_backlog(256, 1 << 32), u32::MAX);
+        assert_eq!(listen_backlog(0, (1 << 32) + 256), u32::MAX);
+        // A sum past usize::MAX used to wrap to a tiny value.
+        assert_eq!(listen_backlog(usize::MAX, usize::MAX), u32::MAX);
+        assert_eq!(listen_backlog(usize::MAX, 2), u32::MAX);
     }
 }

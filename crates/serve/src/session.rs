@@ -17,6 +17,7 @@
 //! as an OOM.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tpcp_core::{BranchEvent, ClassifierConfig, PhaseClassifier, PhaseId, SnapshotError};
 use tpcp_predict::{LengthClassPredictor, NextPhasePredictor, PredictorKind};
@@ -299,7 +300,7 @@ impl SessionStore {
 /// test against the single-lock store.
 #[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<parking_lot::Mutex<SessionStore>>,
+    shards: Vec<Mutex<SessionStore>>,
 }
 
 impl ShardedStore {
@@ -312,7 +313,7 @@ impl ShardedStore {
         let parked_per = max_parked.div_ceil(shards).max(1);
         Self {
             shards: (0..shards)
-                .map(|_| parking_lot::Mutex::new(SessionStore::new(live_per, parked_per)))
+                .map(|_| Mutex::new(SessionStore::new(live_per, parked_per)))
                 .collect(),
         }
     }
@@ -333,17 +334,17 @@ impl ShardedStore {
         (z % self.shards.len() as u64) as usize
     }
 
-    /// The shard lock owning `session`. All store operations for the
+    /// Locks the shard owning `session`. All store operations for the
     /// session run under this one mutex.
-    pub fn shard(&self, session: u64) -> &parking_lot::Mutex<SessionStore> {
-        &self.shards[self.shard_index(session)]
+    pub fn lock(&self, session: u64) -> MutexGuard<'_, SessionStore> {
+        lock_ignore_poison(&self.shards[self.shard_index(session)])
     }
 
     /// Store counters summed across shards.
     pub fn counters(&self) -> StoreCounters {
         let mut total = StoreCounters::default();
         for shard in &self.shards {
-            let c = shard.lock().counters();
+            let c = lock_ignore_poison(shard).counters();
             total.created += c.created;
             total.evictions += c.evictions;
             total.restores += c.restores;
@@ -355,8 +356,19 @@ impl ShardedStore {
 
     /// `(live, parked)` occupancy per shard, in shard order.
     pub fn occupancy(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|s| s.lock().occupancy()).collect()
+        self.shards
+            .iter()
+            .map(|s| lock_ignore_poison(s).occupancy())
+            .collect()
     }
+}
+
+/// Locks `m`, recovering the guard if a panic poisoned it. The worker
+/// that panicked drops only its own connection; the shard (or job queue)
+/// it held stays in service for every other connection, since a map or
+/// channel left mid-request is still well-formed.
+pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -451,7 +463,7 @@ mod tests {
         let mut single = SessionStore::new(4, 64);
         for id in 1..=SESSIONS {
             let extractor = WireExtractor::ALL[(id % 3) as usize];
-            sharded.shard(id).lock().open(id, extractor).unwrap();
+            sharded.lock(id).open(id, extractor).unwrap();
             single.open(id, extractor).unwrap();
         }
         for round in 0..ROUNDS {
@@ -465,7 +477,7 @@ mod tests {
                     .collect();
                 let cpi = 0.9 + ((seed % 9) as f64) * 0.3;
                 let from_sharded = {
-                    let mut shard = sharded.shard(id).lock();
+                    let mut shard = sharded.lock(id);
                     let live = shard.touch(id).unwrap();
                     live.observe_batch(&events);
                     live.end_interval(cpi)
@@ -480,7 +492,7 @@ mod tests {
                     "session {id} round {round} diverged"
                 );
                 for kind in QueryKind::ALL {
-                    let a = sharded.shard(id).lock().touch(id).unwrap().query(kind);
+                    let a = sharded.lock(id).touch(id).unwrap().query(kind);
                     let b = single.touch(id).unwrap().query(kind);
                     assert_eq!(a, b, "session {id} round {round} {kind:?} diverged");
                 }
@@ -519,7 +531,7 @@ mod tests {
     fn sharded_store_with_one_shard_keeps_full_capacity() {
         let store = ShardedStore::new(1, 3, 3);
         for id in 1..=3 {
-            store.shard(id).lock().open(id, WireExtractor::Bbv).unwrap();
+            store.lock(id).open(id, WireExtractor::Bbv).unwrap();
         }
         assert_eq!(store.counters().evictions, 0);
         assert_eq!(store.occupancy(), vec![(3, 0)]);

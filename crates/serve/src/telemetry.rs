@@ -2,8 +2,8 @@
 //! into JSON snapshots — periodically while running (when
 //! `--telemetry-interval` is set) and finally at drain.
 //!
-//! The JSON is hand-rolled (the workspace's serde is a derive-marker
-//! stand-in) with a fixed key order, so two drains of identical runs
+//! The JSON is hand-rolled (the workspace has no serialization
+//! dependency) with a fixed key order, so two drains of identical runs
 //! produce byte-identical documents modulo the measured values.
 
 use std::fmt::Write as _;
@@ -94,7 +94,8 @@ pub struct ServeTelemetry {
     pub queued_responses: u64,
     /// Connections at (or queued for) a pool worker, at snapshot time.
     pub dispatch_depth: u64,
-    /// Worker threads serving connections (0 = thread-per-connection).
+    /// Pool workers serving connections (the configured count, at least
+    /// one).
     pub workers: u64,
     /// Session-store counters summed across shards.
     pub store: StoreCounters,

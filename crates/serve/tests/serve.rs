@@ -384,102 +384,94 @@ fn invalid_cpi_is_rejected_without_touching_session_state() {
 
 /// Satellite regression: a failing TCP listener must back off on its own
 /// gate while the Unix listener keeps serving at full speed — and
-/// recover once the fault clears. Exercised in both serve modes, since
-/// the original bug lived in the thread-per-connection accept loop.
+/// recover once the fault clears.
 #[test]
 fn tcp_accept_failures_do_not_stall_the_unix_listener() {
     use tpcp_serve::server::AcceptFaults;
 
-    for workers in [0usize, 4] {
-        let dir = std::env::temp_dir().join(format!(
-            "tpcp-serve-backoff-{}-{workers}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create socket dir");
-        let socket = dir.join("serve.sock");
-        let mut config = quick_config();
-        config.workers = workers;
-        config.unix = Some(socket.clone());
-        config.accept_faults = AcceptFaults { tcp: 4, unix: 0 };
-        let handle = Server::spawn(config).expect("bind tcp + unix");
-        let addr = handle.tcp_addr().expect("tcp listener configured");
+    let dir = std::env::temp_dir().join(format!("tpcp-serve-backoff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create socket dir");
+    let socket = dir.join("serve.sock");
+    let mut config = quick_config();
+    config.unix = Some(socket.clone());
+    config.accept_faults = AcceptFaults { tcp: 4, unix: 0 };
+    let handle = Server::spawn(config).expect("bind tcp + unix");
+    let addr = handle.tcp_addr().expect("tcp listener configured");
 
-        // While the TCP gate is burning through its injected failures,
-        // a Unix client must get served promptly.
-        let started = Instant::now();
-        let stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect unix");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("set read timeout");
-        let write = stream.try_clone().expect("clone unix stream");
-        let mut reader = FrameReader::new(stream);
-        let mut writer = FrameWriter::new(write);
-        writer
-            .write_frame(
-                &Request::Hello {
-                    session: 21,
-                    extractor: WireExtractor::WorkingSet,
-                }
-                .encode(),
-            )
-            .expect("send hello");
-        let payload = reader.read_frame().expect("read").expect("response");
-        assert!(matches!(
-            Response::decode(payload).expect("decode"),
-            Response::Ok { session: 21 }
-        ));
-        writer
-            .write_frame(
-                &Request::EndInterval {
-                    session: 21,
-                    cpi: 1.0,
-                }
-                .encode(),
-            )
-            .expect("send end");
-        let payload = reader.read_frame().expect("read").expect("response");
-        assert!(matches!(
-            Response::decode(payload).expect("decode"),
-            Response::Classified { session: 21, .. }
-        ));
-        let unix_latency = started.elapsed();
-        assert!(
-            unix_latency < Duration::from_millis(500),
-            "unix listener stalled behind tcp backoff: {unix_latency:?} (workers={workers})"
-        );
+    // While the TCP gate is burning through its injected failures, a Unix
+    // client must get served promptly.
+    let started = Instant::now();
+    let stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect unix");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let write = stream.try_clone().expect("clone unix stream");
+    let mut reader = FrameReader::new(stream);
+    let mut writer = FrameWriter::new(write);
+    writer
+        .write_frame(
+            &Request::Hello {
+                session: 21,
+                extractor: WireExtractor::WorkingSet,
+            }
+            .encode(),
+        )
+        .expect("send hello");
+    let payload = reader.read_frame().expect("read").expect("response");
+    assert!(matches!(
+        Response::decode(payload).expect("decode"),
+        Response::Ok { session: 21 }
+    ));
+    writer
+        .write_frame(
+            &Request::EndInterval {
+                session: 21,
+                cpi: 1.0,
+            }
+            .encode(),
+        )
+        .expect("send end");
+    let payload = reader.read_frame().expect("read").expect("response");
+    assert!(matches!(
+        Response::decode(payload).expect("decode"),
+        Response::Classified { session: 21, .. }
+    ));
+    let unix_latency = started.elapsed();
+    assert!(
+        unix_latency < Duration::from_millis(500),
+        "unix listener stalled behind tcp backoff: {unix_latency:?}"
+    );
 
-        // Once the injected failures are exhausted the TCP gate reopens
-        // (worst case: the sum of its doubling backoffs, well under a
-        // second) and a whole TCP session runs clean.
-        let script = SessionScript::for_session(22, 4);
-        let transcript =
-            run_session(addr, &script, &no_faults, STALL_HOLD).expect("tcp recovers after faults");
-        assert!(transcript.completed);
+    // Once the injected failures are exhausted the TCP gate reopens
+    // (worst case: the sum of its doubling backoffs, well under a second)
+    // and a whole TCP session runs clean.
+    let script = SessionScript::for_session(22, 4);
+    let transcript =
+        run_session(addr, &script, &no_faults, STALL_HOLD).expect("tcp recovers after faults");
+    assert!(transcript.completed);
 
-        let telemetry = handle.join();
-        assert_eq!(
-            telemetry.accept_failures_tcp, 4,
-            "every injected tcp fault fires (workers={workers})"
-        );
-        assert_eq!(telemetry.accept_failures_unix, 0);
-        assert_eq!(telemetry.connections, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let telemetry = handle.join();
+    assert_eq!(
+        telemetry.accept_failures_tcp, 4,
+        "every injected tcp fault fires"
+    );
+    assert_eq!(telemetry.accept_failures_unix, 0);
+    assert_eq!(telemetry.connections, 2);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The sharded worker-pool server and the single-lock
-/// thread-per-connection server must be observably the same protocol
-/// machine: identical scripts, bit-identical transcripts.
+/// A many-worker, many-shard server that evicts constantly and a
+/// one-worker, one-shard server that never evicts must be observably the
+/// same protocol machine: identical scripts, bit-identical transcripts.
 #[test]
-fn pool_mode_matches_thread_per_connection_mode() {
+fn sharded_evicting_pool_matches_single_shard_server() {
     let scripts: Vec<SessionScript> = (1..=9).map(|s| SessionScript::for_session(s, 6)).collect();
 
-    let run = |workers: usize, shards: usize| {
+    let run = |workers: usize, shards: usize, max_live: usize| {
         let mut config = quick_config();
         config.workers = workers;
         config.shards = shards;
-        // Eviction churn underneath, same as the chaos suite.
-        config.max_live = 3;
+        config.max_live = max_live;
         let (handle, addr) = spawn(config);
         let transcripts: Vec<_> = drive_sessions(addr, &scripts, &no_faults, STALL_HOLD)
             .into_iter()
@@ -487,19 +479,38 @@ fn pool_mode_matches_thread_per_connection_mode() {
             .collect();
         let telemetry = handle.join();
         assert!(telemetry.drained);
-        assert!(telemetry.store.evictions > 0);
-        transcripts
+        (transcripts, telemetry.store.evictions)
     };
 
-    let threaded = run(0, 1);
-    let pooled = run(4, 8);
-    for (script, (a, b)) in scripts.iter().zip(threaded.iter().zip(&pooled)) {
+    // Three live slots for nine sessions: eviction churn underneath, same
+    // as the chaos suite.
+    let (sharded, evictions) = run(4, 8, 3);
+    assert!(evictions > 0, "the sharded server must evict");
+    let (single, evictions) = run(1, 1, 9);
+    assert_eq!(evictions, 0, "the single-shard server must not evict");
+    for (script, (a, b)) in scripts.iter().zip(sharded.iter().zip(&single)) {
         assert_eq!(
             a, b,
-            "session {} diverged between serve modes",
+            "session {} diverged between the sharded and single-shard servers",
             script.session
         );
     }
+}
+
+/// `workers: 0` is served by one pool worker, and telemetry reports the
+/// worker count that actually runs.
+#[test]
+fn zero_workers_config_runs_one_worker() {
+    let mut config = quick_config();
+    config.workers = 0;
+    let (handle, addr) = spawn(config);
+    let script = SessionScript::for_session(31, 4);
+    let transcript =
+        run_session(addr, &script, &no_faults, STALL_HOLD).expect("session runs on one worker");
+    assert!(transcript.completed);
+    assert_eq!(transcript.classified.len(), 4);
+    let telemetry = handle.join();
+    assert_eq!(telemetry.workers, 1);
 }
 
 #[cfg(feature = "fault-inject")]

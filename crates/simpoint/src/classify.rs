@@ -1,7 +1,5 @@
 //! The end-to-end SimPoint classifier: project → sweep k → pick by BIC.
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_trace::BbvTrace;
 
 use crate::bic::bic_score;
@@ -9,7 +7,7 @@ use crate::kmeans::kmeans;
 use crate::projection::RandomProjection;
 
 /// Configuration of the offline classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimPointConfig {
     /// Projected dimensionality (ASPLOS'02 uses 15).
     pub projected_dims: usize,
@@ -37,7 +35,7 @@ impl Default for SimPointConfig {
 }
 
 /// Result of an offline classification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimPointResult {
     /// Chosen cluster (phase) index per interval.
     pub assignments: Vec<usize>,

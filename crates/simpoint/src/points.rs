@@ -6,15 +6,13 @@
 //! combining them with their weights estimates whole-program behaviour at
 //! a tiny fraction of the cost (Sherwood et al., ASPLOS'02).
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_trace::BbvTrace;
 
 use crate::classify::SimPointResult;
 use crate::projection::RandomProjection;
 
 /// One chosen simulation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimPoint {
     /// Interval index of the representative.
     pub interval: usize,
@@ -25,7 +23,7 @@ pub struct SimPoint {
 }
 
 /// The selected simulation points for one program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimPoints {
     /// One point per non-empty cluster, ordered by cluster index.
     pub points: Vec<SimPoint>,

@@ -31,12 +31,10 @@
 //! engine's seek-driven replay decodes directly, skipping everything
 //! else.
 
-use serde::{Deserialize, Serialize};
-
 use tpcp_trace::ReplayPlan;
 
 /// Knobs for [`StratifiedPlan::design`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StratifiedConfig {
     /// Total intervals the second pass may decode. Clamped to at least
     /// `min_per_stratum` per stratum and at most the trace length.
@@ -72,7 +70,7 @@ impl Default for StratifiedConfig {
 /// One stratum — a (phase, CPI band) cell — of the design: its
 /// population statistics from the cheap pass and the sample count Neyman
 /// allocation granted it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stratum {
     /// The phase id that defines the stratum.
     pub id: u64,
@@ -91,7 +89,7 @@ pub struct Stratum {
 
 /// A designed sampling plan: strata, the selected interval indices, and
 /// the [`ReplayPlan`] that decodes exactly those intervals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StratifiedPlan {
     /// Strata ordered by (phase id, CPI band).
     pub strata: Vec<Stratum>,
@@ -105,7 +103,7 @@ pub struct StratifiedPlan {
 }
 
 /// The combined estimate a sampled replay yields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StratifiedEstimate {
     /// Estimated whole-trace mean interval CPI: `Σ W_h · x̄_h` with
     /// `W_h = N_h / N`.

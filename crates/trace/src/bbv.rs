@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::BranchEvent;
 use crate::interval::IntervalSummary;
 
@@ -33,7 +31,7 @@ use crate::interval::IntervalSummary;
 /// assert!((bbv.weight(0x20) - 0.25).abs() < 1e-12);
 /// assert_eq!(bbv.weight(0x30), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Bbv {
     components: BTreeMap<u64, f64>,
 }
@@ -139,7 +137,7 @@ impl BbvBuilder {
 /// This is the input format for offline (SimPoint-style) classification, and
 /// the analog of the BBV files that the paper's methodology generates with
 /// SimpleScalar.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BbvTrace {
     /// One BBV per interval, in execution order.
     pub vectors: Vec<Bbv>,

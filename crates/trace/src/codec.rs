@@ -1,7 +1,7 @@
 //! Compact binary encoding of recorded traces.
 //!
 //! A [`RecordedTrace`] at 10M-instruction granularity can hold tens of
-//! millions of events; the generic serde representation is wasteful for
+//! millions of events; a generic self-describing encoding is wasteful for
 //! archival. This module provides a dense little-endian framing built on
 //! [`bytes`], with delta-encoded PCs within each interval (branch PCs
 //! cluster tightly in the address space, so deltas are small).

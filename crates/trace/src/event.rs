@@ -1,7 +1,5 @@
 //! Committed-branch events — the unit of observation for phase tracking.
 
-use serde::{Deserialize, Serialize};
-
 /// A single committed branch, as observed by the phase tracking hardware.
 ///
 /// The paper's architecture (Section 4.1) records "the PC of every committed
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ev.pc, 0x0040_1a2c);
 /// assert_eq!(ev.insns, 17);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BranchEvent {
     /// Program counter of the committed branch instruction.
     pub pc: u64,

@@ -1,7 +1,5 @@
 //! Fixed-length execution intervals and the sources that produce them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::BranchEvent;
 
 /// A branch event paired with the number of cycles the timing model charged
@@ -25,7 +23,7 @@ pub type TimedEvent = (BranchEvent, u64);
 /// let s = IntervalSummary::new(3, 10_000_000, 14_000_000);
 /// assert!((s.cpi() - 1.4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IntervalSummary {
     /// Zero-based position of this interval in the program's execution.
     pub index: u64,
@@ -36,7 +34,6 @@ pub struct IntervalSummary {
     pub cycles: u64,
     /// Microarchitectural event counts for the interval (all zero for
     /// sources without a timing model, e.g. synthetic traces).
-    #[serde(default)]
     pub metrics: crate::metrics::MetricCounts,
 }
 

@@ -7,12 +7,10 @@
 //! misses, TLB misses, and branch mispredictions too (the `multi-metric`
 //! experiment).
 
-use serde::{Deserialize, Serialize};
-
 /// Raw event counts for one interval. All counts are absolute; use
 /// [`per_kilo_instruction`](MetricCounts::per_kilo_instruction) for the
 /// scale-free MPKI view.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MetricCounts {
     /// L1 instruction cache misses.
     pub il1_misses: u64,

@@ -5,13 +5,11 @@
 //! event stream — the same methodology as the paper, which collects
 //! SimpleScalar profiles once and sweeps architecture parameters offline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::BranchEvent;
 use crate::interval::{IntervalSource, IntervalSummary};
 
 /// One recorded interval: its events and its summary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedInterval {
     /// Every committed-branch event of the interval, in program order.
     pub events: Vec<BranchEvent>,
@@ -36,7 +34,7 @@ pub struct RecordedInterval {
 /// while replay.next_interval(&mut |_| n += 1).is_some() {}
 /// assert_eq!(n, 40);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecordedTrace {
     /// All intervals in execution order.
     pub intervals: Vec<RecordedInterval>,

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::recorded::RecordedTrace;
 
 /// Summary statistics of a recorded trace.
@@ -22,7 +20,7 @@ use crate::recorded::RecordedTrace;
 /// assert_eq!(stats.distinct_pcs, 4);
 /// assert!((stats.mean_cpi - 2.0).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Number of intervals.
     pub intervals: usize,

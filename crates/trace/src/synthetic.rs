@@ -5,8 +5,6 @@
 //! classification and prediction logic in isolation from the full workload
 //! simulator in `tpcp-workloads`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::BranchEvent;
 use crate::interval::IntervalCutter;
 use crate::interval::TimedEvent;
@@ -18,7 +16,7 @@ use crate::recorded::RecordedTrace;
 /// (a slice of `(branch pc, instructions per block)` pairs) at `cpi` cycles
 /// per instruction, with a deterministic ±`cpi_jitter` ripple so intervals
 /// are similar but not identical — as in real programs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
     /// `(pc, insns)` pairs executed round-robin within the phase.
     pub blocks: Vec<(u64, u32)>,

@@ -1,8 +1,6 @@
 //! Branch predictors: two-bit counters, bimodal, gshare, and the Table 1
 //! hybrid (McFarling-style chooser).
 
-use serde::{Deserialize, Serialize};
-
 /// A saturating two-bit counter, the basic element of all predictors here.
 ///
 /// States 0–1 predict not-taken, 2–3 predict taken.
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// c.update(true);
 /// assert!(c.predict_taken());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TwoBitCounter(u8);
 
 impl TwoBitCounter {

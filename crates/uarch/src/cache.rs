@@ -1,10 +1,8 @@
 //! Set-associative caches with true-LRU replacement.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether an access reads or writes. Writes allocate like reads
 /// (write-allocate), matching SimpleScalar's default cache model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load (or instruction fetch).
     Read,
@@ -22,7 +20,7 @@ pub enum AccessKind {
 /// let l1 = CacheConfig::new(16 * 1024, 4, 32);
 /// assert_eq!(l1.num_sets(), 128);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -72,7 +70,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss/eviction counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

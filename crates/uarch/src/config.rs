@@ -1,7 +1,5 @@
 //! The baseline machine configuration (the paper's Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheConfig;
 
 /// The baseline simulation model of the paper's Table 1.
@@ -25,7 +23,7 @@ use crate::cache::CacheConfig;
 /// assert_eq!(m.l2.size_bytes, 128 * 1024);
 /// assert_eq!(m.memory_latency, 120);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// L1 instruction cache geometry.
     pub il1: CacheConfig,

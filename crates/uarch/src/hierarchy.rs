@@ -1,14 +1,12 @@
 //! The composed memory hierarchy: L1 I/D, unified L2, and data TLB.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{AccessKind, Cache, CacheStats};
 use crate::config::MachineConfig;
 use crate::prefetch::StridePrefetcher;
 use crate::tlb::Tlb;
 
 /// Where a data access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataAccessOutcome {
     /// Hit in the L1 data cache.
     L1,

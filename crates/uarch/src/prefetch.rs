@@ -6,8 +6,6 @@
 //! how phase classification interacts with a memory system whose behaviour
 //! changes under the same code — e.g. CPI compression between phases.
 
-use serde::{Deserialize, Serialize};
-
 /// Detects constant-stride miss streams and suggests prefetch addresses.
 ///
 /// The detector watches the data-miss address stream: once two consecutive
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let prefetches = p.on_miss(0x1080);     // stride confirmed
 /// assert_eq!(prefetches, vec![0x10c0, 0x1100]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StridePrefetcher {
     degree: usize,
     last_miss: Option<u64>,

@@ -9,8 +9,6 @@
 //! All generators are deterministic from their construction parameters, so
 //! full experiment runs are reproducible bit-for-bit.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic generator of data addresses.
 pub trait AddressStream {
     /// Produces the next address in the stream.
@@ -21,7 +19,7 @@ pub trait AddressStream {
 ///
 /// We use our own implementation rather than `rand` so the substrate crate
 /// has no RNG dependency and streams stay stable across `rand` upgrades.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -69,7 +67,7 @@ impl SplitMix64 {
 /// assert_eq!(s.next_addr(), 0x1000);
 /// assert_eq!(s.next_addr(), 0x1040);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StridedStream {
     base: u64,
     stride: u64,
@@ -104,7 +102,7 @@ impl AddressStream for StridedStream {
 }
 
 /// Uniform random access over a working set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomStream {
     base: u64,
     working_set: u64,
@@ -141,7 +139,7 @@ impl AddressStream for RandomStream {
 /// `next = a*cur + c mod n` has full period with `a % 4 == 1`, `c` odd).
 /// Consecutive addresses are decorrelated, defeating both spatial locality
 /// and stride prefetching — the behaviour of mcf's linked data structures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PointerChaseStream {
     base: u64,
     node_bytes: u64,

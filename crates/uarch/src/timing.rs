@@ -9,13 +9,11 @@
 //! overlap factor modeling the memory-level parallelism an out-of-order core
 //! extracts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::MachineConfig;
 
 /// Microarchitectural event counts for a stretch of execution (a dynamic
 /// basic block, or a whole interval — the model is linear, so both work).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// Committed instructions.
     pub instructions: u64,
@@ -59,7 +57,7 @@ impl EventCounts {
 /// });
 /// assert!(missy > ideal);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     config: MachineConfig,
     /// Base CPI achieved with no misses; 1/issue_width scaled by a pipeline

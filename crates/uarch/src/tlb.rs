@@ -1,9 +1,7 @@
 //! A data TLB with LRU replacement over fixed-size pages.
 
-use serde::{Deserialize, Serialize};
-
 /// Translation lookaside buffer statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Translations that hit.
     pub hits: u64,

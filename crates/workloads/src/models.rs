@@ -7,8 +7,6 @@
 //! what every figure in the evaluation measures. See the crate docs and
 //! DESIGN.md §2 for the property-by-property mapping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::region::{Block, Region, StreamSpec};
 use crate::script::ScriptNode;
 use crate::sim::{Benchmark, WorkloadParams};
@@ -23,7 +21,7 @@ const M: u64 = 1_000_000;
 pub const MODEL_VERSION: u32 = 2;
 
 /// The benchmark/input pairs of the paper's Section 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum BenchmarkKind {
     Ammp,

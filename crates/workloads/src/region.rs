@@ -1,9 +1,7 @@
 //! Code regions: the unit of synthetic program structure.
 
-use serde::{Deserialize, Serialize};
-
 /// One basic block of a region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     /// Address of the block's terminating branch.
     pub pc: u64,
@@ -17,7 +15,7 @@ pub struct Block {
 }
 
 /// The data-side access pattern of a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamSpec {
     /// Sequential access with a fixed stride over a circular buffer —
     /// array-walking FP/integer loops.
@@ -62,7 +60,7 @@ pub enum StreamSpec {
 /// assert_eq!(r.blocks.len(), 8);
 /// assert!(r.code_bytes() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     /// Human-readable name (e.g. "simplex", "huffman").
     pub name: String,

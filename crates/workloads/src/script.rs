@@ -1,6 +1,5 @@
 //! Hierarchical phase scripts: the long-run structure of a benchmark.
 
-use serde::{Deserialize, Serialize};
 use tpcp_uarch::stream::SplitMix64;
 
 /// A node of a benchmark's phase script.
@@ -9,7 +8,7 @@ use tpcp_uarch::stream::SplitMix64;
 /// structures real programs exhibit: bzip2's per-input-block
 /// sort→mtf→huffman pipeline nested in a file loop, gcc's irregular
 /// per-function alternation, gzip's long deflate stretches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScriptNode {
     /// Execute region `region` for exactly `instructions` instructions.
     Run {
