@@ -40,9 +40,9 @@ use std::time::{Duration, Instant};
 
 use tpcp_bench::perf::{
     calibration_ops_per_sec, classify_eager, classify_streaming, decode_eager, decode_scalar,
-    decode_streaming, distance_fixture, distance_scalar, engine_extractors, engine_lanes,
-    engine_suite, perf_suite, replay_full, replay_indices, replay_sampled, suite_totals, LaneRun,
-    PerfTrace, Scale,
+    decode_simd, decode_streaming, distance_fixture, distance_scalar, engine_extractors,
+    engine_lanes, engine_suite, perf_suite, replay_full, replay_indices, replay_sampled,
+    suite_totals, LaneRun, PerfTrace, Scale,
 };
 use tpcp_bench::report::{
     check_against_baseline, git_sha, parse_calibration, peak_rss_bytes, summarize, unmatched_lanes,
@@ -410,33 +410,29 @@ fn main() -> ExitCode {
     );
 
     println!("timing decode kernel lanes ({} iters) ...", args.iters);
-    #[cfg(feature = "simd")]
+    let (dec_scalar_run, scalar_samples, dec_simd_run, simd_samples) =
+        time_lane_pair(args.iters, || decode_scalar(&suite), || decode_simd(&suite));
+    lanes.push(summarize(
+        "decode_scalar",
+        &scalar_samples,
+        dec_scalar_run.intervals,
+        dec_scalar_run.events,
+    ));
+    assert_eq!(
+        dec_scalar_run, dec_stream_run,
+        "scalar decode kernel disagrees with the default decode path"
+    );
+    lanes.push(summarize(
+        "decode_simd",
+        &simd_samples,
+        dec_simd_run.intervals,
+        dec_simd_run.events,
+    ));
+    assert_eq!(
+        dec_simd_run, dec_scalar_run,
+        "SWAR decode kernel disagrees with the scalar kernel"
+    );
     {
-        let (dec_scalar_run, scalar_samples, dec_simd_run, simd_samples) = time_lane_pair(
-            args.iters,
-            || decode_scalar(&suite),
-            || tpcp_bench::perf::decode_simd(&suite),
-        );
-        lanes.push(summarize(
-            "decode_scalar",
-            &scalar_samples,
-            dec_scalar_run.intervals,
-            dec_scalar_run.events,
-        ));
-        assert_eq!(
-            dec_scalar_run, dec_stream_run,
-            "scalar decode kernel disagrees with the default decode path"
-        );
-        lanes.push(summarize(
-            "decode_simd",
-            &simd_samples,
-            dec_simd_run.intervals,
-            dec_simd_run.events,
-        ));
-        assert_eq!(
-            dec_simd_run, dec_scalar_run,
-            "SWAR decode kernel disagrees with the scalar kernel"
-        );
         let scalar_rate = lanes[lanes.len() - 2].intervals_per_sec;
         let simd_rate = lanes[lanes.len() - 1].intervals_per_sec;
         if scalar_rate > 0.0 {
@@ -445,20 +441,6 @@ fn main() -> ExitCode {
                 simd_rate / scalar_rate
             );
         }
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let (dec_scalar_run, samples) = time_lane(args.iters, || decode_scalar(&suite));
-        lanes.push(summarize(
-            "decode_scalar",
-            &samples,
-            dec_scalar_run.intervals,
-            dec_scalar_run.events,
-        ));
-        assert_eq!(
-            dec_scalar_run, dec_stream_run,
-            "scalar decode kernel disagrees with the default decode path"
-        );
     }
 
     let totals = (suite_intervals, suite_events, suite_bytes);
@@ -500,51 +482,15 @@ fn main() -> ExitCode {
 
     bail_if_interrupted!(&args, suite.len(), totals, calibration, lanes);
 
-    println!("timing distance micro lanes ({} iters) ...", args.iters);
+    println!("timing distance micro lane ({} iters) ...", args.iters);
     let (dist_table, dist_probes) = distance_fixture();
-    #[cfg(feature = "simd")]
-    {
-        let (dist_scalar_run, scalar_samples, dist_simd_run, simd_samples) = time_lane_pair(
-            args.iters,
-            || distance_scalar(&dist_table, &dist_probes),
-            || tpcp_bench::perf::distance_simd(&dist_table, &dist_probes),
-        );
-        lanes.push(summarize(
-            "distance_scalar",
-            &scalar_samples,
-            dist_scalar_run.intervals,
-            dist_scalar_run.events,
-        ));
-        lanes.push(summarize(
-            "distance_simd",
-            &simd_samples,
-            dist_simd_run.intervals,
-            dist_simd_run.events,
-        ));
-        assert_eq!(
-            dist_simd_run, dist_scalar_run,
-            "SWAR column scan disagrees with the scalar table search"
-        );
-        let scalar_rate = lanes[lanes.len() - 2].intervals_per_sec;
-        let simd_rate = lanes[lanes.len() - 1].intervals_per_sec;
-        if scalar_rate > 0.0 {
-            println!(
-                "  distance simd/scalar speedup: {:.2}x",
-                simd_rate / scalar_rate
-            );
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let (dist_scalar_run, samples) =
-            time_lane(args.iters, || distance_scalar(&dist_table, &dist_probes));
-        lanes.push(summarize(
-            "distance_scalar",
-            &samples,
-            dist_scalar_run.intervals,
-            dist_scalar_run.events,
-        ));
-    }
+    let (dist_run, samples) = time_lane(args.iters, || distance_scalar(&dist_table, &dist_probes));
+    lanes.push(summarize(
+        "distance_scalar",
+        &samples,
+        dist_run.intervals,
+        dist_run.events,
+    ));
 
     bail_if_interrupted!(&args, suite.len(), totals, calibration, lanes);
 

@@ -205,22 +205,19 @@ fn fold_event(acc: u64, x: u64) -> u64 {
 
 /// Decode-only, streaming: every event and interval summary is delivered
 /// from the encoded buffer without materializing anything. Uses the
-/// decoder's default kernel — the SWAR batch path when the crate is built
-/// with the `simd` feature, the scalar path otherwise.
+/// decoder's default kernel, the SWAR batch path.
 pub fn decode_streaming(suite: &[PerfTrace]) -> LaneRun {
     decode_streaming_kernel(suite, false)
 }
 
 /// Decode-only, streaming, with the decoder's scalar event kernel forced
-/// — the reference half of the decode speedup measurement. Identical to
-/// [`decode_streaming`] in builds without the `simd` feature.
+/// — the reference half of the decode speedup measurement.
 pub fn decode_scalar(suite: &[PerfTrace]) -> LaneRun {
     decode_streaming_kernel(suite, true)
 }
 
 /// Decode-only, streaming, through the SWAR batch kernel. Must produce
 /// the same [`LaneRun`] as [`decode_scalar`] bit for bit.
-#[cfg(feature = "simd")]
 pub fn decode_simd(suite: &[PerfTrace]) -> LaneRun {
     decode_streaming_kernel(suite, false)
 }
@@ -432,11 +429,11 @@ pub fn classify_eager(suite: &[PerfTrace], config: ClassifierConfig) -> LaneRun 
     }
 }
 
-/// Deterministic fixture for the distance micro-lanes: a full signature
+/// Deterministic fixture for the distance micro-lane: a full signature
 /// table plus a batch of probe signatures, all derived from a fixed
 /// xorshift stream. The table threshold (0.85) keeps most entry scans
-/// running deep before the early exit can fire, so the lanes measure the
-/// distance kernels rather than the exit branch.
+/// running deep before the early exit can fire, so the lane measures the
+/// distance kernel rather than the exit branch.
 pub fn distance_fixture() -> (tpcp_core::SignatureTable, Vec<tpcp_core::Signature>) {
     use tpcp_core::{AccumulatorTable, Signature, SignatureTable};
 
@@ -466,44 +463,20 @@ pub fn distance_fixture() -> (tpcp_core::SignatureTable, Vec<tpcp_core::Signatur
     (table, probes)
 }
 
-/// Distance micro-lane through the scalar per-entry search
-/// ([`tpcp_core::SignatureTable::find_best_match_scalar`]): every probe
+/// Distance micro-lane through the table search
+/// ([`tpcp_core::SignatureTable::find_best_match`]): every probe
 /// best-matched against the whole fixture table. `intervals` counts
 /// probes, `events` counts probe×entry comparisons.
 pub fn distance_scalar(
     table: &tpcp_core::SignatureTable,
     probes: &[tpcp_core::Signature],
 ) -> LaneRun {
-    distance_lane(table, probes, true)
-}
-
-/// Distance micro-lane through the default search — the struct-of-arrays
-/// SWAR column scan in `simd` builds. Must produce the same [`LaneRun`]
-/// as [`distance_scalar`] bit for bit.
-#[cfg(feature = "simd")]
-pub fn distance_simd(
-    table: &tpcp_core::SignatureTable,
-    probes: &[tpcp_core::Signature],
-) -> LaneRun {
-    distance_lane(table, probes, false)
-}
-
-fn distance_lane(
-    table: &tpcp_core::SignatureTable,
-    probes: &[tpcp_core::Signature],
-    scalar: bool,
-) -> LaneRun {
     use tpcp_core::MatchOutcome;
     let mut checksum = 0u64;
     for probe in probes {
-        let outcome = if scalar {
-            table.find_best_match_scalar(probe)
-        } else {
-            table.find_best_match(probe)
-        };
         checksum = fold(
             checksum,
-            match outcome {
+            match table.find_best_match(probe) {
                 MatchOutcome::Matched { index, distance } => (index as u64) ^ distance.to_bits(),
                 MatchOutcome::NoMatch => u64::MAX,
             },
@@ -655,7 +628,6 @@ mod tests {
     fn decode_kernel_lanes_agree() {
         let suite = tiny_suite();
         assert_eq!(decode_scalar(&suite), decode_streaming(&suite));
-        #[cfg(feature = "simd")]
         assert_eq!(decode_scalar(&suite), decode_simd(&suite));
     }
 
@@ -684,8 +656,6 @@ mod tests {
         let scalar = distance_scalar(&table, subset);
         assert_eq!(scalar.intervals, 64);
         assert_ne!(scalar.checksum, 0);
-        #[cfg(feature = "simd")]
-        assert_eq!(scalar, distance_simd(&table, subset));
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl PhaseClassifier {
     }
 
     /// Serializes the complete classifier state into a versioned binary
-    /// snapshot (magic `TPCPSNP1`).
+    /// snapshot (magic `TPCPSNP2`).
     ///
     /// A classifier rebuilt with [`from_snapshot`](Self::from_snapshot)
     /// continues bit-identically: same phase IDs, same LRU order, same
@@ -362,16 +362,6 @@ impl PhaseClassifier {
             transition_intervals,
             scratch: Vec::with_capacity(config.accumulators),
         })
-    }
-
-    /// Routes the table search through the scalar per-entry scan even when
-    /// the `simd` feature is compiled in
-    /// (see [`SignatureTable::set_scalar_scan`]). Classification outcomes
-    /// are bit-identical either way; the knob lets benchmarks and
-    /// equivalence tests drive both kernels from one binary. A no-op
-    /// without the feature.
-    pub fn force_scalar_kernels(&mut self, scalar: bool) {
-        self.table.set_scalar_scan(scalar);
     }
 }
 
@@ -902,6 +892,13 @@ mod tests {
             run_interval(&mut c, 0x1000, 1.0);
         }
         let snap = c.snapshot();
+        // A snapshot in the previous layout is refused by its magic.
+        let mut old_layout = snap.clone();
+        old_layout[..SNAPSHOT_MAGIC.len()].copy_from_slice(b"TPCPSNP1");
+        assert!(matches!(
+            PhaseClassifier::from_snapshot(&old_layout),
+            Err(crate::snapshot::SnapshotError::BadMagic)
+        ));
         for len in 0..snap.len() {
             assert!(
                 PhaseClassifier::from_snapshot(&snap[..len]).is_err(),

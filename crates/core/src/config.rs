@@ -77,9 +77,12 @@ pub struct ClassifierConfig {
     pub bit_selection: BitSelectionMode,
     /// Which feature back-end fills the signature each interval (the
     /// paper's BBV accumulation by default). `accumulators` is the
-    /// signature dimensionality for every back-end. Defaults on
-    /// deserialization so configurations saved before this field existed
-    /// load as BBV.
+    /// signature dimensionality for every back-end. A configuration is
+    /// saved only inside a classifier snapshot
+    /// ([`PhaseClassifier::snapshot`](crate::PhaseClassifier::snapshot)),
+    /// which always records this field and which
+    /// [`PhaseClassifier::from_snapshot`](crate::PhaseClassifier::from_snapshot)
+    /// rejects without it.
     pub extractor: ExtractorKind,
 }
 

@@ -48,8 +48,6 @@
 
 mod accumulator;
 mod classifier;
-#[cfg(feature = "simd")]
-mod columns;
 mod config;
 mod cost;
 mod extractor;

@@ -309,10 +309,11 @@ impl Signature {
         })
     }
 
-    /// Shared preamble of the thresholded scans: dimensionality assert and
-    /// the trivial decisions that need no dimension pass. `Ok` carries
-    /// `(denom, bound)` for a real scan; `Err` is the early decision
-    /// (both-zero signatures, or a non-positive threshold).
+    /// Preamble of [`within_distance`](Self::within_distance):
+    /// dimensionality assert and the trivial decisions that need no
+    /// dimension pass. `Ok` carries `(denom, bound)` for a real scan; `Err`
+    /// is the early decision (both-zero signatures, or a non-positive
+    /// threshold).
     #[inline]
     fn scan_bounds(&self, other: &Signature, threshold: f64) -> Result<(u64, u64), Option<f64>> {
         assert_eq!(
@@ -334,36 +335,16 @@ impl Signature {
     }
 }
 
-/// The accept decision every thresholded scan funnels through: the
+/// The accept decision of [`Signature::within_distance`]: the
 /// conservative integer cutoff rejects, then the exact float predicate —
 /// the same one [`Signature::normalized_distance`] implies — decides.
-/// Centralizing it is what makes "bit-identical across kernels" an
-/// argument about one function rather than four copies.
 #[inline]
-pub(crate) fn accept_total(total: u64, bound: u64, denom: u64, threshold: f64) -> Option<f64> {
+fn accept_total(total: u64, bound: u64, denom: u64, threshold: f64) -> Option<f64> {
     if total > bound {
         return None;
     }
     let d = total as f64 / denom as f64;
     (d < threshold).then_some(d)
-}
-
-/// [`accept_total`] for a scan that already holds an exact Manhattan
-/// total (the column scan computes totals for a whole block of entries
-/// before deciding): applies the same trivial decisions as
-/// [`Signature::within_distance`]'s preamble, then the same cutoff and
-/// float predicate, so a `(probe, entry)` pair accepts with the same
-/// distance through either path.
-#[cfg(feature = "simd")]
-#[inline]
-pub(crate) fn accept_entry(total: u64, denom: u64, threshold: f64) -> Option<f64> {
-    if denom == 0 {
-        return (0.0 < threshold).then_some(0.0);
-    }
-    if threshold <= 0.0 {
-        return None;
-    }
-    accept_total(total, (threshold * denom as f64) as u64, denom, threshold)
 }
 
 #[cfg(test)]

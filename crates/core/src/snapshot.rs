@@ -8,24 +8,23 @@
 //! the serve binary evict an idle session's tables under memory pressure
 //! and re-admit it later without the client observing a difference.
 //!
-//! The format is hand-rolled (magic `TPCPSNP1`, varints, f64 bit
+//! The format is hand-rolled (magic `TPCPSNP2`, varints, f64 bit
 //! patterns) because snapshots cross process boundaries and may be fed
 //! back corrupted: every declared count is bounded against the remaining
 //! input before allocation (the same OOM-guard idiom as the trace codec),
 //! every restored invariant the constructors would assert is re-checked as
 //! an error, and redundant derived state (signature weights, region
-//! counts, index masks, the simd column mirror) is recomputed rather than
-//! trusted.
+//! counts, index masks) is recomputed rather than trusted.
 
 use std::fmt;
 
 /// Leading magic of every classifier snapshot.
-pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"TPCPSNP1";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"TPCPSNP2";
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The snapshot does not start with the `TPCPSNP1` magic.
+    /// The snapshot does not start with the `TPCPSNP2` magic.
     BadMagic,
     /// The snapshot ended before a declared field.
     Truncated,
@@ -36,7 +35,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::BadMagic => write!(f, "not a TPCPSNP1 classifier snapshot"),
+            Self::BadMagic => write!(f, "not a TPCPSNP2 classifier snapshot"),
             Self::Truncated => write!(f, "snapshot truncated"),
             Self::Malformed(what) => write!(f, "malformed snapshot: {what}"),
         }

@@ -1,8 +1,6 @@
 //! The past-signature table (Figure 1) with LRU replacement and best-match
 //! similarity search.
 
-#[cfg(feature = "simd")]
-use crate::columns::{ColumnStore, BLOCK};
 use crate::phase_id::PhaseId;
 use crate::signature::Signature;
 use crate::snapshot::{self, SnapReader, SnapshotError};
@@ -64,9 +62,12 @@ pub enum MatchOutcome {
 /// The past-signature table: bounded (or unbounded) storage of previously
 /// seen signatures with LRU replacement.
 ///
-/// Serializable so a process's phase-tracking state can be suspended and
-/// resumed across context switches — the 10M-instruction granularity the
-/// paper targets is explicitly "at the level of context switching".
+/// A classifier's table is saved and restored with it through
+/// [`PhaseClassifier::snapshot`](crate::PhaseClassifier::snapshot) and
+/// [`PhaseClassifier::from_snapshot`](crate::PhaseClassifier::from_snapshot),
+/// so a process's phase-tracking state can be suspended and resumed across
+/// context switches — the 10M-instruction granularity the paper targets is
+/// explicitly "at the level of context switching".
 ///
 /// # Example
 ///
@@ -86,15 +87,6 @@ pub enum MatchOutcome {
 #[derive(Debug, Clone)]
 pub struct SignatureTable {
     entries: Vec<TableEntry>,
-    /// Column-major mirror of every entry's dimension vector, maintained
-    /// incrementally by `insert`/`touch`/eviction and consumed by the
-    /// SWAR block scan. See `crate::columns` for layout and the
-    /// poisoning fallback for mixed-dimensionality tables.
-    #[cfg(feature = "simd")]
-    columns: ColumnStore,
-    /// Route searches through the scalar per-entry scan even when the
-    /// `simd` feature is compiled in (benchmark and equivalence knob).
-    scalar_scan: bool,
     capacity: Option<usize>,
     base_threshold: f64,
     clock: u64,
@@ -120,40 +112,11 @@ impl SignatureTable {
         );
         Self {
             entries: Vec::new(),
-            #[cfg(feature = "simd")]
-            columns: ColumnStore::default(),
-            scalar_scan: false,
             capacity,
             base_threshold,
             clock: 0,
             evictions: 0,
         }
-    }
-
-    /// Forces the scalar per-entry search even when the `simd` feature is
-    /// compiled in. Both search paths return identical outcomes (same
-    /// matches, same distances, same tie-breaks); this knob exists so
-    /// benchmarks and equivalence tests can exercise both in one binary.
-    /// A no-op without the feature, where scalar is the only path.
-    pub fn set_scalar_scan(&mut self, scalar: bool) {
-        self.scalar_scan = scalar;
-    }
-
-    /// Whether searches will take the SWAR column scan (`simd` feature
-    /// compiled in, not overridden by
-    /// [`set_scalar_scan`](Self::set_scalar_scan), and the column mirror
-    /// is live — i.e. the table is not mixed-dimensionality).
-    pub fn uses_simd_scan(&self) -> bool {
-        #[cfg(feature = "simd")]
-        {
-            !self.scalar_scan
-                && (self.entries.is_empty()
-                    || self
-                        .columns
-                        .scannable(self.entries[0].signature.dims().len(), self.entries.len()))
-        }
-        #[cfg(not(feature = "simd"))]
-        false
     }
 
     /// The base similarity threshold new entries start with.
@@ -183,11 +146,6 @@ impl SignatureTable {
 
     /// Mutable access to an entry (the classifier updates min counters,
     /// thresholds, and CPI statistics through this).
-    ///
-    /// Do not replace the entry's `signature` through this handle — use
-    /// [`touch`](Self::touch), which also updates the column mirror the
-    /// `simd` search scans. A signature swapped in here would desync the
-    /// mirror (caught by a debug assertion on the next search).
     pub fn entry_mut(&mut self, index: usize) -> &mut TableEntry {
         &mut self.entries[index]
     }
@@ -203,29 +161,6 @@ impl SignatureTable {
     /// The paper classifies into the *most similar* matching signature
     /// (best match), not the first match — Section 4.1, step 3.
     pub fn find_best_match(&self, sig: &Signature) -> MatchOutcome {
-        #[cfg(feature = "simd")]
-        if self.take_column_scan(sig) {
-            return self.find_best_match_columns(sig);
-        }
-        self.find_best_match_scalar(sig)
-    }
-
-    /// Finds the *first* entry within threshold, in table order — the prior
-    /// work's policy, kept for the ablation benchmark.
-    pub fn find_first_match(&self, sig: &Signature) -> MatchOutcome {
-        #[cfg(feature = "simd")]
-        if self.take_column_scan(sig) {
-            return self.find_first_match_columns(sig);
-        }
-        self.find_first_match_scalar(sig)
-    }
-
-    /// The scalar reference search behind
-    /// [`find_best_match`](Self::find_best_match): a per-entry
-    /// early-exiting [`Signature::within_distance`] scan. Always compiled;
-    /// benchmarks and equivalence tests call it directly to compare
-    /// against the column scan in one binary.
-    pub fn find_best_match_scalar(&self, sig: &Signature) -> MatchOutcome {
         let mut best: Option<(usize, f64)> = None;
         for (i, entry) in self.entries.iter().enumerate() {
             // The per-entry threshold bounds the search, so the thresholded
@@ -243,9 +178,9 @@ impl SignatureTable {
         }
     }
 
-    /// The scalar reference search behind
-    /// [`find_first_match`](Self::find_first_match).
-    pub fn find_first_match_scalar(&self, sig: &Signature) -> MatchOutcome {
+    /// Finds the *first* entry within threshold, in table order — the prior
+    /// work's policy, kept for the ablation benchmark.
+    pub fn find_first_match(&self, sig: &Signature) -> MatchOutcome {
         for (i, entry) in self.entries.iter().enumerate() {
             if let Some(d) = sig.within_distance(&entry.signature, entry.threshold) {
                 return MatchOutcome::Matched {
@@ -257,83 +192,6 @@ impl SignatureTable {
         MatchOutcome::NoMatch
     }
 
-    /// Whether this probe should go through the column scan: the knob says
-    /// so and the mirror can answer for this probe's dimensionality. A
-    /// mixed-dimensionality table poisons the mirror, falls through to the
-    /// scalar path, and panics there exactly as it did before the mirror
-    /// existed.
-    #[cfg(feature = "simd")]
-    fn take_column_scan(&self, sig: &Signature) -> bool {
-        !self.scalar_scan && self.columns.scannable(sig.dims().len(), self.entries.len())
-    }
-
-    /// Best-match search over the column mirror: exact Manhattan totals for
-    /// [`BLOCK`] entries at a time from contiguous per-dimension columns,
-    /// then the same accept predicate ([`signature::accept_entry`]) and the
-    /// same strict `d < best` improvement rule as the scalar scan — so the
-    /// winning index, distance, and tie-breaks (earliest entry wins equal
-    /// distances) are bit-identical.
-    #[cfg(feature = "simd")]
-    fn find_best_match_columns(&self, sig: &Signature) -> MatchOutcome {
-        let mut best: Option<(usize, f64)> = None;
-        self.scan_columns(sig, |i, d| {
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-            true
-        });
-        match best {
-            Some((index, distance)) => MatchOutcome::Matched { index, distance },
-            None => MatchOutcome::NoMatch,
-        }
-    }
-
-    /// First-match search over the column mirror. The block totals cover 16
-    /// entries at a time, but accepts are consumed in entry order and the
-    /// scan stops at the first, so the outcome matches the scalar
-    /// table-order policy exactly.
-    #[cfg(feature = "simd")]
-    fn find_first_match_columns(&self, sig: &Signature) -> MatchOutcome {
-        let mut found = MatchOutcome::NoMatch;
-        self.scan_columns(sig, |i, d| {
-            found = MatchOutcome::Matched {
-                index: i,
-                distance: d,
-            };
-            false
-        });
-        found
-    }
-
-    /// Streams the column mirror block by block, invoking `on_accept` for
-    /// each entry (in table order) whose normalized distance passes its own
-    /// threshold. `on_accept` returns whether to continue scanning.
-    #[cfg(feature = "simd")]
-    fn scan_columns(&self, sig: &Signature, mut on_accept: impl FnMut(usize, f64) -> bool) {
-        let probe = sig.dims();
-        let n = self.entries.len();
-        let mut totals = [0u32; BLOCK];
-        for base in (0..n).step_by(BLOCK) {
-            self.columns.block_totals(probe, base, &mut totals);
-            for (j, &block_total) in totals.iter().enumerate().take(n - base) {
-                let i = base + j;
-                let entry = &self.entries[i];
-                let total = u64::from(block_total);
-                debug_assert_eq!(
-                    total,
-                    sig.manhattan_distance(&entry.signature),
-                    "column mirror out of sync at entry {i}"
-                );
-                let denom = sig.weight() + entry.signature.weight();
-                if let Some(d) = crate::signature::accept_entry(total, denom, entry.threshold) {
-                    if !on_accept(i, d) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
     /// Marks an entry as just-used (moves it to MRU position in LRU order)
     /// and replaces its stored signature with the current one, as the
     /// architecture does on every match. Returns the displaced signature
@@ -341,8 +199,6 @@ impl SignatureTable {
     /// ([`Signature::into_dims`]).
     pub fn touch(&mut self, index: usize, current: Signature) -> Signature {
         self.clock += 1;
-        #[cfg(feature = "simd")]
-        self.columns.replace(index, current.dims());
         let entry = &mut self.entries[index];
         let displaced = std::mem::replace(&mut entry.signature, current);
         entry.stamp = self.clock;
@@ -366,13 +222,9 @@ impl SignatureTable {
                     .map(|(i, _)| i)
                     .expect("capacity > 0 implies non-empty at cap");
                 self.entries.swap_remove(lru);
-                #[cfg(feature = "simd")]
-                self.columns.swap_remove(lru);
                 self.evictions += 1;
             }
         }
-        #[cfg(feature = "simd")]
-        self.columns.push(sig.dims());
         self.entries.push(TableEntry {
             signature: sig,
             phase_id: None,
@@ -388,7 +240,6 @@ impl SignatureTable {
     /// Appends the full table state — entries with their private LRU
     /// stamps included — to a snapshot.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(self.scalar_scan));
         match self.capacity {
             Some(c) => {
                 out.push(1);
@@ -418,10 +269,8 @@ impl SignatureTable {
     }
 
     /// Restores a table from a snapshot, re-checking the constructor's
-    /// invariants and rebuilding the simd column mirror entry by entry (in
-    /// table order, so the mirror matches an incrementally built one).
+    /// invariants.
     pub(crate) fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let scalar_scan = r.u8()? != 0;
         let capacity = match r.u8()? {
             0 => None,
             _ => Some(r.varint()? as usize),
@@ -446,16 +295,7 @@ impl SignatureTable {
                 return Err(SnapshotError::Malformed("more entries than capacity"));
             }
         }
-        let mut table = Self {
-            entries: Vec::with_capacity(n),
-            #[cfg(feature = "simd")]
-            columns: ColumnStore::default(),
-            scalar_scan,
-            capacity,
-            base_threshold,
-            clock,
-            evictions,
-        };
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let signature = Signature::snap_read(r)?;
             let phase_id = match r.u8()? {
@@ -464,7 +304,7 @@ impl SignatureTable {
                     SnapshotError::Malformed("phase ID exceeds 32 bits")
                 })?)),
             };
-            let entry = TableEntry {
+            entries.push(TableEntry {
                 signature,
                 phase_id,
                 min_counter: r.u8()?,
@@ -472,12 +312,15 @@ impl SignatureTable {
                 cpi_mean: r.f64()?,
                 cpi_samples: r.varint()?,
                 stamp: r.varint()?,
-            };
-            #[cfg(feature = "simd")]
-            table.columns.push(entry.signature.dims());
-            table.entries.push(entry);
+            });
         }
-        Ok(table)
+        Ok(Self {
+            entries,
+            capacity,
+            base_threshold,
+            clock,
+            evictions,
+        })
     }
 }
 
@@ -624,117 +467,5 @@ mod tests {
     #[should_panic(expected = "similarity threshold")]
     fn bad_threshold_rejected() {
         SignatureTable::new(Some(4), 0.0);
-    }
-
-    #[cfg(feature = "simd")]
-    mod simd {
-        use super::*;
-
-        fn rng() -> impl FnMut() -> u64 {
-            let mut state = 0xB504_F333_F9DE_6484u64;
-            move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            }
-        }
-
-        /// Searches through both paths and asserts bit-identical outcomes
-        /// (index, distance, and tie-breaks all ride the same comparisons).
-        fn assert_scan_agreement(table: &SignatureTable, probe: &Signature) {
-            assert!(
-                table.uses_simd_scan(),
-                "fixture must exercise the column scan"
-            );
-            assert_eq!(
-                table.find_best_match(probe),
-                table.find_best_match_scalar(probe),
-                "best match diverged"
-            );
-            assert_eq!(
-                table.find_first_match(probe),
-                table.find_first_match_scalar(probe),
-                "first match diverged"
-            );
-        }
-
-        #[test]
-        fn simd_column_scan_matches_scalar_through_lru_churn() {
-            let mut next = rng();
-            // Small capacity: evictions and touches constantly reshuffle the
-            // mirror. Threshold 1.0 keeps many entries in play per search.
-            let mut table = SignatureTable::new(Some(24), 1.0);
-            let mut probes: Vec<Signature> = Vec::new();
-            for step in 0..300 {
-                let sig = sig_of(&[
-                    (next() % 0x40_000, (next() % 40_000) as u32),
-                    (next() % 0x40_000, (next() % 40_000) as u32),
-                    (next() % 0x40_000, (next() % 40_000) as u32),
-                ]);
-                assert_scan_agreement(&table, &sig);
-                // With threshold 1.0 nearly every probe matches, so force a
-                // periodic insert to drive the table to capacity and churn
-                // the LRU; otherwise mimic the classifier (touch on match,
-                // insert on miss).
-                match table.find_best_match(&sig) {
-                    MatchOutcome::Matched { index, .. } if step % 3 != 0 => {
-                        table.touch(index, sig.clone());
-                    }
-                    _ => {
-                        table.insert(sig.clone());
-                    }
-                }
-                if step % 7 == 0 {
-                    probes.push(sig);
-                }
-                for probe in &probes {
-                    assert_scan_agreement(&table, probe);
-                }
-            }
-            assert!(table.evictions() > 0, "fixture must churn the LRU");
-        }
-
-        #[test]
-        fn simd_scalar_scan_knob_forces_fallback() {
-            let mut table = SignatureTable::new(Some(4), 0.25);
-            let sig = sig_of(&[(0x1000, 1000)]);
-            table.insert(sig.clone());
-            assert!(table.uses_simd_scan());
-            table.set_scalar_scan(true);
-            assert!(!table.uses_simd_scan());
-            assert!(matches!(
-                table.find_best_match(&sig),
-                MatchOutcome::Matched { distance: d, .. } if d == 0.0
-            ));
-            table.set_scalar_scan(false);
-            assert!(table.uses_simd_scan());
-        }
-
-        #[test]
-        fn simd_tied_distances_keep_earliest_entry() {
-            // Two entries equidistant from the probe: both paths must pick
-            // the earliest index (strict `<` improvement).
-            let mut table = SignatureTable::new(Some(4), 1.0);
-            table.insert(sig_of(&[(0x1000, 600), (0x5000, 400)]));
-            table.insert(sig_of(&[(0x1000, 600), (0x5000, 400)]));
-            let probe = sig_of(&[(0x1000, 1000)]);
-            let scalar = table.find_best_match_scalar(&probe);
-            let simd = table.find_best_match(&probe);
-            assert_eq!(scalar, simd);
-            assert!(matches!(simd, MatchOutcome::Matched { index: 0, .. }));
-        }
-
-        #[test]
-        fn simd_zero_weight_probe_matches_like_scalar() {
-            let mut table = SignatureTable::new(Some(4), 0.25);
-            table.insert(sig_of(&[])); // all-zero signature
-            let probe = sig_of(&[]);
-            assert_scan_agreement(&table, &probe);
-            assert!(matches!(
-                table.find_best_match(&probe),
-                MatchOutcome::Matched { distance: d, .. } if d == 0.0
-            ));
-        }
     }
 }

@@ -113,90 +113,3 @@ proptest! {
         prop_assert!(!last.is_transition());
     }
 }
-
-/// Scalar-vs-column-scan search equivalence: the struct-of-arrays block
-/// scan behind the `simd` feature must return bit-identical `MatchOutcome`s
-/// to the per-entry scalar search on any table, including the boundary
-/// cases the contract calls out — thresholds landing exactly on a stored
-/// distance (strict `<` accept) and zero-weight signatures (zero
-/// denominator).
-#[cfg(feature = "simd")]
-mod simd {
-    use super::*;
-    use tpcp_core::{MatchOutcome, SignatureTable};
-
-    fn table_of(sigs: &[Signature], threshold: f64) -> SignatureTable {
-        let mut table = SignatureTable::new(None, threshold);
-        for sig in sigs {
-            table.insert(sig.clone());
-        }
-        table
-    }
-
-    proptest! {
-        /// Best- and first-match agree between the column scan and the
-        /// scalar search on arbitrary tables and probes.
-        #[test]
-        fn simd_table_search_matches_scalar(
-            batches in prop::collection::vec(arb_events(), 1..40),
-            probe in arb_events(),
-            threshold in 0.01f64..1.0,
-            dims_pow in 0u32..3,
-        ) {
-            let dims = 16usize << dims_pow;
-            let sigs: Vec<Signature> = batches.iter().map(|b| signature_of(b, dims)).collect();
-            let table = table_of(&sigs, threshold);
-            prop_assert!(table.uses_simd_scan());
-            let probe = signature_of(&probe, dims);
-            prop_assert_eq!(table.find_best_match(&probe), table.find_best_match_scalar(&probe));
-            prop_assert_eq!(table.find_first_match(&probe), table.find_first_match_scalar(&probe));
-        }
-
-        /// A threshold equal to an exact stored distance is a *reject* on
-        /// both paths: the accept predicate is strictly `<`, and the
-        /// column scan's integer cutoff must not flip it.
-        #[test]
-        fn simd_exact_threshold_boundary_agrees(
-            a in arb_events(),
-            b in arb_events(),
-            extras in prop::collection::vec(arb_events(), 0..20),
-        ) {
-            let sa = signature_of(&a, 16);
-            let sb = signature_of(&b, 16);
-            let d = sa.normalized_distance(&sb);
-            prop_assume!(d > 0.0 && d <= 1.0);
-            let mut sigs: Vec<Signature> = extras.iter().map(|e| signature_of(e, 16)).collect();
-            sigs.push(sb);
-            // The table threshold *is* the probe's exact distance to sb.
-            let table = table_of(&sigs, d);
-            let simd_best = table.find_best_match(&sa);
-            prop_assert_eq!(&simd_best, &table.find_best_match_scalar(&sa));
-            if let MatchOutcome::Matched { distance, .. } = simd_best {
-                prop_assert!(distance < d, "strict-< accept must hold: {} !< {}", distance, d);
-            }
-            prop_assert_eq!(table.find_first_match(&sa), table.find_first_match_scalar(&sa));
-        }
-
-        /// Zero-weight signatures (empty accumulators) hit the
-        /// zero-denominator trivial decision; both paths must agree for
-        /// zero-weight probes, zero-weight entries, and both at once.
-        #[test]
-        fn simd_zero_denominator_agrees(
-            batches in prop::collection::vec(arb_events(), 0..10),
-            probe_empty in any::<bool>(),
-            threshold in 0.01f64..1.0,
-        ) {
-            let zero = Signature::from_accumulator(&AccumulatorTable::new(16), 6);
-            let mut sigs: Vec<Signature> = batches.iter().map(|b| signature_of(b, 16)).collect();
-            sigs.push(zero.clone());
-            let table = table_of(&sigs, threshold);
-            let probe = if probe_empty || batches.is_empty() {
-                zero
-            } else {
-                signature_of(&batches[0], 16)
-            };
-            prop_assert_eq!(table.find_best_match(&probe), table.find_best_match_scalar(&probe));
-            prop_assert_eq!(table.find_first_match(&probe), table.find_first_match_scalar(&probe));
-        }
-    }
-}

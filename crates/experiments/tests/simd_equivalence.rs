@@ -1,16 +1,11 @@
-//! End-to-end scalar-vs-SIMD bit-identity over the paper's workloads.
+//! End-to-end scalar-vs-SWAR bit-identity over the paper's workloads.
 //!
-//! The `simd` feature swaps in two vectorized kernels — the SWAR batched
-//! varint decode in `tpcp-trace` and the struct-of-arrays column scan in
-//! `tpcp-core`'s signature table. Their contract is *bit identity*: every
-//! phase ID, in order, on every one of the paper's 11 benchmark models,
-//! must be unchanged. These tests drive whole classification pipelines
-//! through both kernel sets from one binary (via the `force_scalar`
-//! knobs) and compare the full outputs.
-//!
-//! Compiled only under the `simd` feature:
-//! `cargo test -p tpcp-experiments --features simd`.
-#![cfg(feature = "simd")]
+//! Trace decode runs through the SWAR batched varint kernel in
+//! `tpcp-trace`; the scalar kernel stays as its reference. Their contract
+//! is *bit identity*: every phase ID, in order, on every one of the
+//! paper's 11 benchmark models, must be unchanged. These tests drive whole
+//! classification pipelines through both decode kernels from one binary
+//! (via `StreamingDecoder::force_scalar`) and compare the full outputs.
 
 use tpcp_core::{ClassifierConfig, PhaseClassifier, PhaseId};
 use tpcp_trace::{encode_trace, RecordedTrace, StreamingDecoder};
@@ -28,14 +23,13 @@ fn model_trace(kind: BenchmarkKind, params: &WorkloadParams) -> RecordedTrace {
 }
 
 /// Classifies an encoded trace end to end — streaming decode feeding a
-/// fresh classifier — with both vectorized kernels either enabled
+/// fresh classifier — with the SWAR decode kernel either enabled
 /// (`scalar = false`) or forced off (`scalar = true`).
 fn classify(encoded: &[u8], config: ClassifierConfig, scalar: bool) -> (Vec<PhaseId>, u64) {
     let mut decoder = StreamingDecoder::new(encoded).expect("test traces are well-formed");
     decoder.force_scalar(scalar);
     assert_eq!(decoder.uses_simd(), !scalar);
     let mut classifier = PhaseClassifier::new(config);
-    classifier.force_scalar_kernels(scalar);
     let mut ids = Vec::new();
     loop {
         let next = decoder
@@ -48,7 +42,7 @@ fn classify(encoded: &[u8], config: ClassifierConfig, scalar: bool) -> (Vec<Phas
 }
 
 /// The acceptance test: all 11 benchmark models classify bit-identically
-/// through the SIMD kernels and the scalar kernels under the paper's
+/// through the SWAR and the scalar decode kernels under the paper's
 /// configuration.
 #[test]
 fn simd_all_eleven_models_classify_identically() {
@@ -68,9 +62,9 @@ fn simd_all_eleven_models_classify_identically() {
 }
 
 /// Kernel-churn chaos: a small table capacity forces continuous LRU
-/// eviction, per-entry adaptive thresholds tighten mid-run, and the
-/// column mirror must track every insert/touch/evict exactly. Any drift
-/// between the mirror and the entries shows up as a diverging phase ID.
+/// eviction and per-entry adaptive thresholds tighten mid-run, so a
+/// decoded event that differs between the kernels shows up as a diverging
+/// phase ID.
 #[test]
 fn simd_equivalence_survives_lru_churn_and_adaptive_thresholds() {
     let params = tiny_params();
@@ -94,7 +88,7 @@ fn simd_equivalence_survives_lru_churn_and_adaptive_thresholds() {
 }
 
 /// First-match selection takes a different early-exit path through the
-/// column scan than best-match; pin its equivalence separately.
+/// table search than best-match; pin its equivalence separately.
 #[test]
 fn simd_equivalence_holds_for_first_match_selection() {
     let params = tiny_params();

@@ -24,7 +24,7 @@
 //! - **Backpressure** — responses flow through a bounded per-connection
 //!   queue, so one slow reader blocks only its own session.
 //! - **Eviction** — under pressure the coldest session in a shard is
-//!   parked as a `TPCPSNP1` snapshot and restored bit-identically on its
+//!   parked as a `TPCPSNP2` snapshot and restored bit-identically on its
 //!   next frame.
 //! - **Malformed-frame tolerance** — every decode error maps to a
 //!   structured error response, and an `EndInterval` carrying a

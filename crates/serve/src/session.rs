@@ -4,7 +4,7 @@
 //! Each session owns a [`PhaseClassifier`] plus a next-phase and a
 //! run-length predictor. The store keeps at most `max_live` sessions
 //! materialized; the least-recently-used session beyond that is *parked*:
-//! its classifier is serialized to the `TPCPSNP1` snapshot format (a few
+//! its classifier is serialized to the `TPCPSNP2` snapshot format (a few
 //! hundred bytes instead of a full accumulator + signature table) and its
 //! predictors — already small — move aside as-is. Touching a parked
 //! session restores the classifier from its snapshot, which is
@@ -295,7 +295,7 @@ impl SessionStore {
 /// Sharding changes *which* sessions are evicted under pressure (each
 /// shard runs its own LRU over roughly `1/shards` of the capacity) but
 /// never *what* an evicted session computes: eviction goes through the
-/// same `TPCPSNP1` snapshot, so a session's classifications are
+/// same `TPCPSNP2` snapshot, so a session's classifications are
 /// bit-identical under any shard count — pinned by the shard-equivalence
 /// test against the single-lock store.
 #[derive(Debug)]

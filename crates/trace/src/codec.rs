@@ -202,8 +202,7 @@ fn decode_events_scalar<F: FnMut(BranchEvent)>(
 ///
 /// The fast paths only ever consume complete, well-formed varints that
 /// are fully in bounds, so every `Truncated`/`MalformedVarint` case is
-/// reported by the same scalar code path as before, at the same position.
-#[cfg(feature = "simd")]
+/// reported by the same scalar code path, at the same position.
 fn decode_events_swar<F: FnMut(BranchEvent)>(
     buf: &[u8],
     pos: &mut usize,
@@ -577,10 +576,8 @@ pub struct StreamingDecoder<'a> {
     decoded: u64,
     scratch: Vec<BranchEvent>,
     error: Option<CodecError>,
-    /// With the `simd` feature, route event decode through the scalar
-    /// reference kernel instead of the SWAR one (perf comparison lanes,
-    /// equivalence tests). Without the feature this is inert: the scalar
-    /// kernel is the only one compiled.
+    /// Route event decode through the scalar reference kernel instead of
+    /// the SWAR one (perf comparison lanes, equivalence tests).
     force_scalar: bool,
 }
 
@@ -616,20 +613,18 @@ impl<'a> StreamingDecoder<'a> {
         })
     }
 
-    /// Forces the scalar event-decode kernel even when the `simd` feature
-    /// is compiled in. The two kernels are bit-identical in output and
-    /// error behavior; this knob exists so benchmarks and equivalence
-    /// tests can time or compare both in one binary. A no-op without the
-    /// `simd` feature, where scalar is the only kernel.
+    /// Forces the scalar event-decode kernel in place of the SWAR one. The
+    /// two kernels are bit-identical in output and error behavior; this
+    /// knob exists so benchmarks and equivalence tests can time or compare
+    /// both in one binary.
     pub fn force_scalar(&mut self, scalar: bool) {
         self.force_scalar = scalar;
     }
 
-    /// Whether the batched SWAR kernel will be used for event decode
-    /// (`simd` feature compiled in and not overridden by
-    /// [`force_scalar`](Self::force_scalar)).
+    /// Whether the batched SWAR kernel will be used for event decode (not
+    /// overridden by [`force_scalar`](Self::force_scalar)).
     pub fn uses_simd(&self) -> bool {
-        cfg!(feature = "simd") && !self.force_scalar
+        !self.force_scalar
     }
 
     /// Total intervals the header declares.
@@ -745,14 +740,11 @@ impl<'a> StreamingDecoder<'a> {
         if n_events > ((buf.len() - *pos) / MIN_EVENT_BYTES) as u64 {
             return Err(CodecError::ImplausibleLength);
         }
-        #[cfg(feature = "simd")]
-        if !self.force_scalar {
-            decode_events_swar(buf, pos, n_events, on_event)?;
-        } else {
+        if self.force_scalar {
             decode_events_scalar(buf, pos, n_events, on_event)?;
+        } else {
+            decode_events_swar(buf, pos, n_events, on_event)?;
         }
-        #[cfg(not(feature = "simd"))]
-        decode_events_scalar(buf, pos, n_events, on_event)?;
         self.decoded += 1;
         Ok(Some(
             IntervalSummary::new(index, instructions, cycles).with_metrics(metrics),
@@ -1038,7 +1030,6 @@ mod tests {
 
     /// Streams a buffer through both event-decode kernels, returning
     /// `(events, summaries)` per kernel, or the first decode error.
-    #[cfg(feature = "simd")]
     #[allow(clippy::type_complexity)]
     fn stream_both_kernels(
         data: &[u8],
@@ -1055,7 +1046,6 @@ mod tests {
         })
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn simd_swar_decode_matches_scalar_on_sample() {
         let data = encode_trace(&sample());
@@ -1067,7 +1057,6 @@ mod tests {
     /// A trace exercising every varint width: tiny PC deltas (1-byte),
     /// the dominant 2-byte zigzag deltas, huge forward/backward jumps
     /// (up to 10-byte varints), and insns counts from 1 to u32::MAX.
-    #[cfg(feature = "simd")]
     fn mixed_width_trace() -> RecordedTrace {
         let pcs = [
             0x40u64,
@@ -1101,7 +1090,6 @@ mod tests {
         RecordedTrace::record(IntervalCutter::from_iter(1_000_000, events))
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn simd_swar_decode_matches_scalar_on_mixed_varint_widths() {
         let trace = mixed_width_trace();
@@ -1117,7 +1105,6 @@ mod tests {
         assert_eq!(events, want);
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn simd_swar_decode_agrees_with_scalar_at_every_truncation_boundary() {
         // Both kernels must report the *same* error for a cut anywhere in
@@ -1135,7 +1122,6 @@ mod tests {
         assert!(swar.is_ok());
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn simd_swar_decode_rejects_overlong_varints_like_scalar() {
         // An overlong varint planted mid-event-stream must surface as

@@ -309,26 +309,83 @@ proptest! {
 }
 
 /// Scalar-vs-SWAR decode equivalence, generative twin of the unit tests in
-/// `codec.rs`: arbitrary event streams (any PC walk, any insns width) must
-/// decode identically through both kernels, on the intact buffer and at
-/// every truncation boundary.
-#[cfg(feature = "simd")]
+/// `codec.rs`: run-structured event streams must decode identically through
+/// both kernels, on the intact buffer, at every truncation boundary, and
+/// under byte flips.
 mod simd {
     use super::*;
+    use tpcp_trace::{CodecError, IntervalSummary};
 
-    /// Streams `data` through one kernel, collecting events + summaries.
-    fn stream(
-        data: &[u8],
-        scalar: bool,
-    ) -> Result<(Vec<BranchEvent>, Vec<u64>), tpcp_trace::CodecError> {
-        let mut decoder = StreamingDecoder::new(data)?;
-        decoder.force_scalar(scalar);
+    /// Runs of 1-40 events that each keep one varint byte layout, as a
+    /// phase's branch stream does. The SWAR kernel dispatches on that
+    /// layout, so streams of independent full-width PCs (every delta a
+    /// ~10-byte varint) would only ever reach its fallback. Layouts, as
+    /// (zigzag PC-delta bytes, insns bytes): 0 = (1, 1), 1 = (2, 1),
+    /// 2 = (2, 2), 3 = a mix of 1- and 2-byte fields, 4 = wide fields of
+    /// three or more bytes.
+    fn arb_run_stream(
+        runs: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<(BranchEvent, u64)>> {
+        let run = (
+            0u8..5,
+            prop::collection::vec((any::<u64>(), any::<u32>(), 0u64..5_000), 1..41),
+        );
+        prop::collection::vec(run, runs).prop_map(|runs| {
+            // One or two varint bytes, chosen by the low bit.
+            let small = |x: u64| {
+                if x & 1 == 0 {
+                    (x >> 1) % 0x80
+                } else {
+                    0x80 + (x >> 1) % 0x3f80
+                }
+            };
+            let mut pc = 0x4000u64;
+            let mut events = Vec::new();
+            for (layout, raw) in runs {
+                for (a, b, cycles) in raw {
+                    let b = u64::from(b);
+                    let (zigzag, insns) = match layout {
+                        0 => (a % 0x80, 1 + b % 0x7f),
+                        1 => (0x80 + a % 0x3f80, 1 + b % 0x7f),
+                        2 => (0x80 + a % 0x3f80, 0x80 + b % 0x3f80),
+                        3 => (small(a), small(b).max(1)),
+                        _ => ((a >> (b % 50)).max(0x4000), b.max(0x4000)),
+                    };
+                    let delta = (zigzag >> 1) ^ (zigzag & 1).wrapping_neg();
+                    pc = pc.wrapping_add(delta);
+                    events.push((BranchEvent::new(pc, insns as u32), cycles));
+                }
+            }
+            events
+        })
+    }
+
+    /// Interval sizes from one event per interval up to one interval for
+    /// the whole stream, so runs of 2-byte insns (up to 16,383 each) still
+    /// fill intervals with many events.
+    fn arb_interval_size() -> impl Strategy<Value = u64> {
+        prop_oneof![1u64..3_000, 3_000u64..2_000_000]
+    }
+
+    /// What one kernel delivers from `data`: every event and summary up
+    /// to the error that stopped the stream, and that error.
+    type Streamed = (Vec<BranchEvent>, Vec<IntervalSummary>, Option<CodecError>);
+
+    fn stream(data: &[u8], scalar: bool) -> Streamed {
         let mut events = Vec::new();
         let mut summaries = Vec::new();
-        while let Some(summary) = decoder.try_next_interval(&mut |ev| events.push(ev))? {
-            summaries.push(summary.instructions);
+        let mut decoder = match StreamingDecoder::new(data) {
+            Ok(decoder) => decoder,
+            Err(e) => return (events, summaries, Some(e)),
+        };
+        decoder.force_scalar(scalar);
+        loop {
+            match decoder.try_next_interval(&mut |ev| events.push(ev)) {
+                Ok(Some(summary)) => summaries.push(summary),
+                Ok(None) => return (events, summaries, None),
+                Err(e) => return (events, summaries, Some(e)),
+            }
         }
-        Ok((events, summaries))
     }
 
     proptest! {
@@ -336,15 +393,15 @@ mod simd {
         /// buffer, and the SWAR stream reproduces the original events.
         #[test]
         fn simd_swar_decode_equals_scalar_on_arbitrary_streams(
-            events in prop::collection::vec(arb_event(), 0..300),
-            interval_size in 1u64..3_000,
+            events in arb_run_stream(0..12),
+            interval_size in arb_interval_size(),
         ) {
             let trace = RecordedTrace::record(IntervalCutter::from_iter(interval_size, events));
             let data = encode_trace(&trace);
             let swar = stream(&data, false);
-            let scalar = stream(&data, true);
-            prop_assert_eq!(&swar, &scalar);
-            let (got, _) = swar.unwrap();
+            prop_assert_eq!(&swar, &stream(&data, true));
+            let (got, _, error) = swar;
+            prop_assert_eq!(error, None);
             let want: Vec<BranchEvent> = trace
                 .intervals
                 .iter()
@@ -353,23 +410,34 @@ mod simd {
             prop_assert_eq!(got, want);
         }
 
-        /// Truncating an arbitrary encoded trace anywhere produces the
-        /// same error — and the same already-delivered prefix — from both
-        /// kernels: the SWAR fast paths only consume complete in-bounds
-        /// varints, so every failure funnels through the shared scalar
-        /// error path at the same position.
+        /// Truncating an encoded trace anywhere, with or without XOR byte
+        /// flips, yields the same delivered events, the same summaries and
+        /// the same error from both kernels: the SWAR fast paths only
+        /// consume complete in-bounds varints, so every failure funnels
+        /// through the shared scalar error path at the same position.
         #[test]
         fn simd_swar_decode_agrees_with_scalar_under_truncation(
-            events in prop::collection::vec(arb_event(), 1..120),
-            interval_size in 1u64..2_000,
+            events in arb_run_stream(1..6),
+            interval_size in arb_interval_size(),
+            flips in prop::collection::vec(
+                (any::<usize>(), any::<u8>().prop_map(|mask| mask.max(1))),
+                1..4,
+            ),
         ) {
             let trace = RecordedTrace::record(IntervalCutter::from_iter(interval_size, events));
             let data = encode_trace(&trace);
             for cut in 0..data.len() {
                 let swar = stream(&data[..cut], false);
-                let scalar = stream(&data[..cut], true);
-                prop_assert_eq!(&swar, &scalar);
-                prop_assert!(swar.is_err(), "cut at {} must fail", cut);
+                prop_assert_eq!(&swar, &stream(&data[..cut], true));
+                prop_assert!(swar.2.is_some(), "cut at {} must fail", cut);
+            }
+            let mut flipped = data.to_vec();
+            for &(pos, mask) in &flips {
+                let i = pos % flipped.len();
+                flipped[i] ^= mask;
+            }
+            for cut in 0..=flipped.len() {
+                prop_assert_eq!(stream(&flipped[..cut], false), stream(&flipped[..cut], true));
             }
         }
     }
