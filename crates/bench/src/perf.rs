@@ -205,7 +205,8 @@ fn fold_event(acc: u64, x: u64) -> u64 {
 
 /// Decode-only, streaming: every event and interval summary is delivered
 /// from the encoded buffer without materializing anything. Uses the
-/// decoder's default kernel, the SWAR batch path.
+/// decoder's default kernel, the SWAR batch path, and must produce the
+/// same [`LaneRun`] as [`decode_scalar`] bit for bit.
 pub fn decode_streaming(suite: &[PerfTrace]) -> LaneRun {
     decode_streaming_kernel(suite, false)
 }
@@ -214,12 +215,6 @@ pub fn decode_streaming(suite: &[PerfTrace]) -> LaneRun {
 /// — the reference half of the decode speedup measurement.
 pub fn decode_scalar(suite: &[PerfTrace]) -> LaneRun {
     decode_streaming_kernel(suite, true)
-}
-
-/// Decode-only, streaming, through the SWAR batch kernel. Must produce
-/// the same [`LaneRun`] as [`decode_scalar`] bit for bit.
-pub fn decode_simd(suite: &[PerfTrace]) -> LaneRun {
-    decode_streaming_kernel(suite, false)
 }
 
 fn decode_streaming_kernel(suite: &[PerfTrace], force_scalar: bool) -> LaneRun {
@@ -628,7 +623,6 @@ mod tests {
     fn decode_kernel_lanes_agree() {
         let suite = tiny_suite();
         assert_eq!(decode_scalar(&suite), decode_streaming(&suite));
-        assert_eq!(decode_scalar(&suite), decode_simd(&suite));
     }
 
     #[test]

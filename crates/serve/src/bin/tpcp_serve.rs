@@ -13,8 +13,9 @@
 //!            [--drain-deadline-ms N]
 //! ```
 //!
-//! Every connection is served by `--workers` pool workers (at least 1)
-//! behind one readiness loop. `--telemetry-interval-ms` (with
+//! Each of `--workers` threads (at least 1) runs its own readiness loop:
+//! it accepts connections and serves the ones it accepted, and sees a
+//! drain within one poll tick. `--telemetry-interval-ms` (with
 //! `--telemetry PATH`) atomically rewrites the snapshot file on that
 //! period while running, instead of only at drain.
 //!

@@ -9,9 +9,10 @@
 //!
 //! Robustness is the design driver, not an afterthought:
 //!
-//! - **Scalability** — connections are multiplexed through one
-//!   `poll(2)` readiness loop onto a small worker pool ([`server`]), so
-//!   a fleet of N clients costs N fds rather than N threads.
+//! - **Scalability** — each of a small pool of workers runs its own
+//!   `poll(2)` readiness loop over the connections it accepts
+//!   ([`server`]), so a fleet of N clients costs N fds rather than N
+//!   threads.
 //! - **Sharding** — session state lives in a [`ShardedStore`]: the
 //!   session id hashes to one of `shards` independently locked
 //!   [`SessionStore`]s, each a bounded LRU with its own parked tier, so

@@ -1,42 +1,47 @@
-//! The serve loop: one dispatcher thread multiplexing every connection
-//! fd through `poll(2)`, and a small fixed pool of workers doing the
-//! reads, decodes, classifier work, and writes — so N connections cost
-//! N fds, not N threads.
+//! The serve loop: every worker thread runs its own `poll(2)` loop over
+//! the shared listeners and the connections it accepted, so N connections
+//! cost N fds, not N threads, and a request costs one thread wake.
 //!
-//! # Shape
+//! A worker accepts at most one connection per listener per pass and
+//! keeps each connection until it closes; a connect storm spreads across
+//! the workers that wake for it, but a few long-lived connections can
+//! land on one worker. On a ready connection it runs one *turn* in place
+//! per pass: flush pending output, decode and execute buffered frames up
+//! to the response cap, read the socket once. A turn is bounded, so every
+//! connection a worker owns gets a turn, and drain and the deadline sweep
+//! run, on every pass, however hard one client pipelines. One thread owns
+//! each connection, so per-connection state needs no locks and responses
+//! stay in request order by construction; sessions live in the sharded
+//! store, so any worker serves any session. Each pass reads the clock
+//! once and passes that `now` to turns, accepts, the backoff gates, the
+//! deadline sweep and drain, whose decisions are pure functions of it
+//! (`Deadlines::verdict`, `Deadlines::drain_step`).
 //!
-//! The dispatcher owns the listeners, a self-wake pipe, and every
-//! *parked* (idle) connection. Each loop it polls the parked fds for
-//! readability (and writability, when a connection has queued output),
-//! then hands ready connections to the workers over an `mpsc` channel.
-//! A worker runs one *turn* on the connection — flush pending output,
-//! decode and execute buffered frames, read until the socket would
-//! block — and hands it back. Ownership of a connection moves between
-//! dispatcher and worker, never shared, so per-connection state needs no
-//! locks and responses stay in request order by construction.
-//!
-//! # Invariants the turn loop maintains
+//! # Invariants
 //!
 //! - **Backpressure without blocked threads**: a connection with
 //!   `response_queue` undelivered responses stops being *read* (its
 //!   requests back up into the kernel buffer and TCP flow control does
 //!   the rest); workers never block on a slow reader.
 //! - **No lost bytes across turns**: partially read frames persist in
-//!   the connection's [`FrameDecoder`]; a complete frame that could not
-//!   be executed yet (response cap) is re-dispatched as soon as output
-//!   drains — buffered work never waits on socket readability.
-//! - **Deadlines from the dispatcher**: a mid-frame connection with no
-//!   progress for `read_timeout` is a stall; a connection idle at a
-//!   frame boundary past `idle_timeout` is closed; a connection whose
-//!   output has not drained for `write_timeout` is a dead reader.
+//!   the connection's [`FrameDecoder`]; a complete frame left buffered
+//!   with response budget free runs on the next pass, which polls
+//!   without waiting.
+//! - **Deadlines**: a mid-frame connection silent past `read_timeout` is
+//!   a stall; one idle at a frame boundary past `idle_timeout` is closed;
+//!   one whose output has not drained for `write_timeout` is a dead
+//!   reader.
+//! - **Drain within one poll tick** (`read_timeout` clamped to 1–100 ms):
+//!   each worker drops its listener reference (the last one dropped
+//!   closes the fds) and closes its connections by `drain_deadline`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::fd::{AsRawFd, RawFd};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -45,49 +50,14 @@ use tpcp_trace::{FrameDecoder, FrameError};
 
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{self, DecodeFailure, ErrorCode, Response};
-use crate::server::{execute, BackoffGate, ServeConfig, Shared};
+use crate::server::{execute, Shared};
 use crate::session::lock_ignore_poison;
-use crate::telemetry::{ServeCounters, ServeTelemetry};
+use crate::telemetry::ServeCounters;
 
-/// A connection's transport, unified across listener kinds.
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
+/// A connection's transport: an accepted TCP or Unix stream.
+trait Socket: Read + Write + AsRawFd {}
 
-impl Stream {
-    fn raw_fd(&self) -> RawFd {
-        match self {
-            Self::Tcp(s) => s.as_raw_fd(),
-            Self::Unix(s) => s.as_raw_fd(),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.read(buf),
-            Self::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.write(buf),
-            Self::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.flush(),
-            Self::Unix(s) => s.flush(),
-        }
-    }
-}
+impl<T: Read + Write + AsRawFd> Socket for T {}
 
 /// Encoded responses awaiting delivery: a flat byte buffer plus the end
 /// offset of each queued response, so the response-count cap and the
@@ -109,15 +79,13 @@ impl OutBuf {
         self.ends.len()
     }
 
-    fn push_response(&mut self, shared: &Shared, payload: &[u8]) {
+    fn push_response(&mut self, shared: &Shared, response: &Response) {
+        let payload = response.encode();
         self.bytes
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(payload);
+        self.bytes.extend_from_slice(&payload);
         self.ends.push_back(self.bytes.len());
-        shared
-            .counters
-            .queued_responses
-            .fetch_add(1, Ordering::Relaxed);
+        ServeCounters::bump(&shared.counters.queued_responses);
     }
 
     /// Writes as much as the socket accepts. `WouldBlock` leaves the
@@ -165,10 +133,9 @@ impl OutBuf {
     }
 }
 
-/// One multiplexed connection. Owned by exactly one of: the dispatcher's
-/// parked map, the job channel, or a worker.
+/// One multiplexed connection, owned by the worker that accepted it.
 struct Conn {
-    stream: Stream,
+    stream: Box<dyn Socket>,
     decoder: FrameDecoder,
     out: OutBuf,
     /// Last moment bytes moved in either direction.
@@ -181,437 +148,390 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: Stream) -> Self {
+    fn new(stream: Box<dyn Socket>, now: Instant) -> Self {
         Self {
             stream,
             decoder: FrameDecoder::new(),
             out: OutBuf::default(),
-            last_progress: Instant::now(),
+            last_progress: now,
             close_after_flush: false,
             notified_draining: false,
         }
     }
 
-    fn push_response(&mut self, shared: &Shared, response: &Response) {
-        self.out.push_response(shared, &response.encode());
-    }
-
-    fn flush(&mut self, shared: &Shared) -> io::Result<()> {
+    fn flush(&mut self, shared: &Shared, now: Instant) -> io::Result<()> {
         let progressed = self.out.flush(&mut self.stream, shared)?;
         if progressed > 0 {
-            self.last_progress = Instant::now();
+            self.last_progress = now;
         }
         Ok(())
     }
-}
 
-struct Job {
-    id: u64,
-    conn: Conn,
-}
+    fn buffered(&self) -> Buffered {
+        if !self.decoder.mid_frame() {
+            Buffered::Nothing
+        } else if self.decoder.frame_ready() {
+            Buffered::WholeFrame
+        } else {
+            Buffered::PartFrame
+        }
+    }
 
-struct Return {
-    id: u64,
-    conn: Conn,
-    dead: bool,
-}
+    /// Whether a turn would make progress without new readiness: a
+    /// complete frame is buffered and there is response budget for it.
+    fn runnable(&self, cap: usize) -> bool {
+        !self.close_after_flush && self.decoder.frame_ready() && self.out.pending() < cap
+    }
 
-/// What the dispatcher polls, parallel to its pollfd slice.
-enum Token {
-    Wake,
-    Tcp,
-    Unix,
-    Conn(u64),
+    /// The readiness this connection waits on: input while it has
+    /// response budget, output while responses are queued.
+    fn interest(&self, cap: usize) -> i16 {
+        let mut events = 0;
+        if !self.close_after_flush && self.out.pending() < cap {
+            events |= POLLIN;
+        }
+        if !self.out.is_empty() {
+            events |= POLLOUT;
+        }
+        events
+    }
 }
 
 /// Closes a connection: best-effort flush of any queued notice, then
-/// release the gauge and the fd.
-fn close_conn(shared: &Shared, mut conn: Conn) {
-    let _ = conn.flush(shared);
+/// release the gauge. The fd closes when the caller drops the `Conn`.
+fn close_conn(shared: &Shared, conn: &mut Conn) {
+    let _ = conn.out.flush(&mut conn.stream, shared);
     conn.out.abandon(shared);
 }
 
-enum AcceptOut {
-    Conn(Stream),
-    WouldBlock,
-    Failed,
+/// What a connection's frame decoder holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Buffered {
+    /// Nothing: the connection sits at a frame boundary.
+    Nothing,
+    /// Part of a frame, waiting on more bytes.
+    PartFrame,
+    /// A complete frame (or an oversized prefix), waiting on response
+    /// budget.
+    WholeFrame,
 }
 
-fn accept_stream(
-    is_tcp: bool,
-    tcp: Option<&TcpListener>,
-    unix: Option<&UnixListener>,
-    shared: &Shared,
-) -> AcceptOut {
-    if shared.take_accept_fault(is_tcp) {
-        return AcceptOut::Failed;
-    }
-    if is_tcp {
-        match tcp.map(TcpListener::accept) {
-            Some(Ok((stream, _))) => {
-                // Nagle off (small latency-bound responses), and
-                // nonblocking because every read/write happens under the
-                // readiness loop.
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    return AcceptOut::Failed;
-                }
-                AcceptOut::Conn(Stream::Tcp(stream))
-            }
-            Some(Err(e)) if e.kind() == io::ErrorKind::WouldBlock => AcceptOut::WouldBlock,
-            Some(Err(_)) => AcceptOut::Failed,
-            None => AcceptOut::WouldBlock,
+/// The deadline sweep's decision on one connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Keep,
+    /// Silent mid-frame past the read deadline.
+    Stall,
+    /// Queued output unmoved past the write deadline.
+    DeadReader,
+    /// Silent at a frame boundary past the idle deadline.
+    Idle,
+}
+
+/// Drain's decision on one connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DrainStep {
+    /// Let in-flight work finish.
+    Wait,
+    /// Quiet for a read deadline: queue a `Draining` notice and close
+    /// once it is written.
+    Notify,
+    /// The drain deadline has passed: queue a `Draining` notice and close
+    /// now.
+    Close,
+}
+
+/// The connection and drain deadlines, from `ServeConfig`'s timeouts.
+/// Their decisions are pure functions of the clock, so every deadline is
+/// testable with synthetic instants.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deadlines {
+    pub(crate) read: Duration,
+    pub(crate) write: Duration,
+    pub(crate) idle: Duration,
+    pub(crate) drain: Duration,
+}
+
+impl Deadlines {
+    /// The sweep's close decision for a connection `silent` this long.
+    fn verdict(
+        &self,
+        silent: Duration,
+        buffered: Buffered,
+        out_empty: bool,
+        close_after_flush: bool,
+    ) -> Verdict {
+        if buffered == Buffered::PartFrame && silent >= self.read {
+            Verdict::Stall
+        } else if !out_empty && silent >= self.write {
+            // A reader that has not drained a byte in a full write
+            // deadline is gone; its sessions survive.
+            Verdict::DeadReader
+        } else if buffered == Buffered::Nothing && !close_after_flush && silent >= self.idle {
+            Verdict::Idle
+        } else {
+            Verdict::Keep
         }
-    } else {
-        match unix.map(UnixListener::accept) {
-            Some(Ok((stream, _))) => {
-                if stream.set_nonblocking(true).is_err() {
-                    return AcceptOut::Failed;
-                }
-                AcceptOut::Conn(Stream::Unix(stream))
-            }
-            Some(Err(e)) if e.kind() == io::ErrorKind::WouldBlock => AcceptOut::WouldBlock,
-            Some(Err(_)) => AcceptOut::Failed,
-            None => AcceptOut::WouldBlock,
+    }
+
+    /// Drain's decision at `now` for a connection `silent` this long,
+    /// with the drain due by `drain_by`. One read deadline of grace lets
+    /// an active client's in-flight request finish before its notice.
+    fn drain_step(
+        &self,
+        now: Instant,
+        drain_by: Instant,
+        silent: Duration,
+        notified: bool,
+    ) -> DrainStep {
+        if now >= drain_by {
+            DrainStep::Close
+        } else if !notified && silent >= self.read {
+            DrainStep::Notify
+        } else {
+            DrainStep::Wait
         }
     }
 }
 
-/// The dispatcher: owns the poll set, accepts connections, enforces
-/// deadlines, routes ready connections to workers, and runs the drain
-/// protocol. Returns the final telemetry snapshot.
-pub(crate) fn pool_loop(
+/// The bound listeners, shared by every worker. Each worker drops its
+/// reference when drain begins; the last drop closes the fds, so new
+/// connects are refused from then on.
+struct Listeners {
     tcp: Option<TcpListener>,
     unix: Option<UnixListener>,
-    wake_rx: UnixStream,
-    config: ServeConfig,
-    shared: Arc<Shared>,
-) -> ServeTelemetry {
+}
+
+impl Listeners {
+    fn fd(&self, is_tcp: bool) -> Option<RawFd> {
+        if is_tcp {
+            self.tcp.as_ref().map(AsRawFd::as_raw_fd)
+        } else {
+            self.unix.as_ref().map(AsRawFd::as_raw_fd)
+        }
+    }
+
+    /// Accepts one connection through the listener's backoff gate,
+    /// nonblocking because every read and write happens under the
+    /// readiness loop. `None` when the gate is closed, none is queued, or
+    /// the attempt failed (counted, and the gate backs off). The gate is
+    /// locked across the attempt, so a failure closes it before any other
+    /// worker retries: one attempt per backoff step, whatever `workers`.
+    fn accept(&self, is_tcp: bool, shared: &Shared, now: Instant) -> Option<Box<dyn Socket>> {
+        let mut gates = lock_ignore_poison(&shared.gates);
+        let gate = &mut gates[usize::from(!is_tcp)];
+        if !gate.ready(now) {
+            return None;
+        }
+        let accepted: io::Result<Box<dyn Socket>> = if shared.take_accept_fault(is_tcp) {
+            Err(io::ErrorKind::Other.into())
+        } else {
+            match (is_tcp, &self.tcp, &self.unix) {
+                (true, Some(listener), _) => listener.accept().and_then(|(stream, _)| {
+                    // Nagle off: responses are small and latency-bound.
+                    let _ = stream.set_nodelay(true);
+                    stream.set_nonblocking(true)?;
+                    Ok(Box::new(stream) as Box<dyn Socket>)
+                }),
+                (false, _, Some(listener)) => listener.accept().and_then(|(stream, _)| {
+                    stream.set_nonblocking(true)?;
+                    Ok(Box::new(stream) as Box<dyn Socket>)
+                }),
+                _ => return None,
+            }
+        };
+        match accepted {
+            Ok(stream) => {
+                gate.success();
+                Some(stream)
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
+            Err(_) => {
+                ServeCounters::bump(if is_tcp {
+                    &shared.counters.accept_failures_tcp
+                } else {
+                    &shared.counters.accept_failures_unix
+                });
+                gate.failure(now);
+                None
+            }
+        }
+    }
+}
+
+/// Runs the server: `shared.workers` poll loops, one on the calling
+/// thread, until drain completes.
+pub(crate) fn pool_loop(tcp: Option<TcpListener>, unix: Option<UnixListener>, shared: &Shared) {
     if let Some(listener) = &tcp {
         let _ = listener.set_nonblocking(true);
     }
     if let Some(listener) = &unix {
         let _ = listener.set_nonblocking(true);
     }
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let (ret_tx, ret_rx) = mpsc::channel::<Return>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let workers: Vec<_> = (0..shared.workers)
-        .map(|_| {
-            let jobs = Arc::clone(&job_rx);
-            let ret = ret_tx.clone();
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || worker_loop(&jobs, &ret, &shared))
-        })
-        .collect();
-    drop(ret_tx);
-
-    let mut tcp = tcp;
-    let mut unix = unix;
-    let mut tcp_gate = BackoffGate::new();
-    let mut unix_gate = BackoffGate::new();
-    let mut parked: HashMap<u64, Conn> = HashMap::new();
-    let mut in_flight = 0usize;
-    let mut next_id = 1u64;
-    let mut listeners_dropped = false;
-    // When drain must finish: armed on the first draining pass.
-    let mut drain_by: Option<Instant> = None;
-    let cap = config.response_queue.max(1);
-    let tick = config
-        .read_timeout
-        .clamp(Duration::from_millis(1), Duration::from_millis(100));
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut tokens: Vec<Token> = Vec::new();
-
-    let dispatch = |job_tx: &mpsc::Sender<Job>, in_flight: &mut usize, id: u64, conn: Conn| {
-        *in_flight += 1;
-        shared
-            .counters
-            .dispatch_depth
-            .fetch_add(1, Ordering::Relaxed);
-        if let Err(mpsc::SendError(job)) = job_tx.send(Job { id, conn }) {
-            // Workers only exit after this loop drops the sender, so
-            // this is unreachable; degrade to a clean close anyway.
-            *in_flight -= 1;
-            shared
-                .counters
-                .dispatch_depth
-                .fetch_sub(1, Ordering::Relaxed);
-            close_conn(&shared, job.conn);
+    let listeners = Arc::new(Listeners { tcp, unix });
+    thread::scope(|scope| {
+        for _ in 1..shared.workers {
+            let listeners = Arc::clone(&listeners);
+            scope.spawn(move || worker_loop(listeners, shared));
         }
-    };
+        worker_loop(listeners, shared);
+    });
+}
 
-    // The O(parked) deadline sweep runs on its own cadence, not every
-    // pass — at 512 connections a per-wake sweep dominates the loop.
-    let sweep_every = (config.read_timeout / 4).max(Duration::from_millis(1));
-    let mut last_sweep = Instant::now();
+/// One worker's poll loop. Each pass reads the clock, acts on what the
+/// previous poll reported, runs drain and the deadline sweep, and polls
+/// again. Returns once draining with no connections left. Per-worker
+/// scratch buffers (events + read chunk) are reused across every turn.
+fn worker_loop(listeners: Arc<Listeners>, shared: &Shared) {
+    let deadlines = shared.deadlines;
+    let cap = shared.response_queue.max(1);
+    let tick = deadlines
+        .read
+        .clamp(Duration::from_millis(1), Duration::from_millis(100));
+    // The O(connections) deadline sweep runs at most every quarter read
+    // deadline, not every pass: deadlines have read-deadline granularity,
+    // so sweeping finer than that buys nothing.
+    let sweep_every = (deadlines.read / 4).max(Duration::from_millis(1));
+    let mut listeners = Some(listeners);
+    let mut conns: Vec<Conn> = Vec::new();
+    // The poll set: one slot per listener in `polled` (whether it is the
+    // TCP one), then one per connection, in `conns` order.
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut polled: Vec<bool> = Vec::with_capacity(2);
+    let mut scratch: Vec<BranchEvent> = Vec::new();
+    let mut chunk = vec![0u8; 16 * 1024];
+    let mut drain_by: Option<Instant> = None;
+    let mut next_sweep: Option<Instant> = None;
 
     loop {
-        // Re-arm wake coalescing *before* consuming returns: a worker
-        // finishing after this point either lands in try_recv below or
-        // writes the pipe and wakes the next poll. Either way no return
-        // is stranded.
-        shared.begin_dispatch_pass();
+        let now = Instant::now();
 
-        // 1. Take back connections the workers finished with.
-        while let Ok(ret) = ret_rx.try_recv() {
-            in_flight -= 1;
-            shared
-                .counters
-                .dispatch_depth
-                .fetch_sub(1, Ordering::Relaxed);
-            let conn = ret.conn;
-            if ret.dead || (conn.close_after_flush && conn.out.is_empty()) {
-                close_conn(&shared, conn);
-                continue;
+        // 1. Act on the last poll: one turn per ready or runnable
+        //    connection, then at most one accept per ready listener.
+        let (listen_fds, conn_fds) = fds.split_at(polled.len());
+        let mut ready = conn_fds.iter().map(PollFd::ready);
+        conns.retain_mut(|conn| {
+            let polled_ready = ready.next().unwrap_or(false);
+            !(polled_ready || conn.runnable(cap))
+                || serve(conn, shared, now, &mut scratch, &mut chunk)
+        });
+        if let Some(listeners) = &listeners {
+            for (slot, &is_tcp) in listen_fds.iter().zip(&polled) {
+                // A fault-injected listener is attempted even without a
+                // queued connection, so its forced failures actually fire.
+                if !slot.ready() && !shared.accept_fault_pending(is_tcp) {
+                    continue;
+                }
+                let Some(stream) = listeners.accept(is_tcp, shared, now) else {
+                    continue;
+                };
+                ServeCounters::bump(&shared.counters.connections);
+                // Served at once: the client's first frame is usually
+                // already in flight.
+                let mut conn = Conn::new(stream, now);
+                if serve(&mut conn, shared, now, &mut scratch, &mut chunk) {
+                    conns.push(conn);
+                }
             }
-            if drain_by.is_some_and(|by| Instant::now() >= by) {
-                let mut conn = conn;
-                conn.push_response(&shared, &Response::Draining);
-                close_conn(&shared, conn);
-                continue;
-            }
-            // A complete frame is already buffered and there is response
-            // budget: the connection has runnable work regardless of
-            // socket readiness, so hand it straight back.
-            if !conn.close_after_flush && conn.decoder.frame_ready() && conn.out.pending() < cap {
-                dispatch(&job_tx, &mut in_flight, ret.id, conn);
-                continue;
-            }
-            parked.insert(ret.id, conn);
         }
 
         // 2. Drain protocol.
-        let draining = shared.draining();
-        if draining {
-            let by = *drain_by.get_or_insert_with(|| Instant::now() + config.drain_deadline);
-            if !listeners_dropped {
-                // Dropping the listeners closes their fds, so new
-                // connects are refused from this point on.
-                tcp = None;
-                unix = None;
-                listeners_dropped = true;
-            }
-            if Instant::now() >= by {
-                for (_, mut conn) in parked.drain() {
-                    conn.push_response(&shared, &Response::Draining);
-                    close_conn(&shared, conn);
-                }
-            }
-            if parked.is_empty() && in_flight == 0 {
-                break;
-            }
-        }
-
-        // 3. Deadline sweep over parked connections, at most every
-        //    quarter read-deadline — deadlines have read-timeout
-        //    granularity, so sweeping finer than that buys nothing.
-        let now = Instant::now();
-        if now.duration_since(last_sweep) >= sweep_every {
-            last_sweep = now;
-            let mut expired: Vec<u64> = Vec::new();
-            for (&id, conn) in &parked {
+        if shared.draining() {
+            listeners = None;
+            let by = *drain_by.get_or_insert(now + deadlines.drain);
+            conns.retain_mut(|conn| {
                 let silent = now.duration_since(conn.last_progress);
-                let mid_frame = conn.decoder.mid_frame() && !conn.decoder.frame_ready();
-                if mid_frame && silent >= shared.read_timeout {
-                    ServeCounters::bump(&shared.counters.stalled_closes);
-                    expired.push(id);
-                } else if !conn.out.is_empty() && silent >= shared.write_timeout {
-                    // A reader that has not drained a byte in a full
-                    // write deadline is gone; its sessions survive.
-                    ServeCounters::bump(&shared.counters.stalled_closes);
-                    expired.push(id);
-                } else if !conn.decoder.mid_frame()
-                    && !conn.close_after_flush
-                    && silent >= shared.idle_timeout
-                {
-                    ServeCounters::bump(&shared.counters.idle_closes);
-                    expired.push(id);
+                match deadlines.drain_step(now, by, silent, conn.notified_draining) {
+                    DrainStep::Wait => true,
+                    DrainStep::Notify => {
+                        conn.notified_draining = true;
+                        conn.close_after_flush = true;
+                        conn.out.push_response(shared, &Response::Draining);
+                        let _ = conn.flush(shared, now);
+                        // Kept only until the notice is written.
+                        !conn.out.is_empty()
+                    }
+                    DrainStep::Close => {
+                        conn.out.push_response(shared, &Response::Draining);
+                        close_conn(shared, conn);
+                        false
+                    }
                 }
-            }
-            for id in expired {
-                if let Some(conn) = parked.remove(&id) {
-                    close_conn(&shared, conn);
-                }
+            });
+            if conns.is_empty() {
+                return;
             }
         }
 
-        // 4. Build the poll set: wake pipe, gated listeners, parked fds.
+        // 3. Deadline sweep.
+        if next_sweep.is_none_or(|at| now >= at) {
+            next_sweep = Some(now + sweep_every);
+            conns.retain_mut(|conn| {
+                let silent = now.duration_since(conn.last_progress);
+                let counter = match deadlines.verdict(
+                    silent,
+                    conn.buffered(),
+                    conn.out.is_empty(),
+                    conn.close_after_flush,
+                ) {
+                    Verdict::Keep => return true,
+                    Verdict::Stall | Verdict::DeadReader => &shared.counters.stalled_closes,
+                    Verdict::Idle => &shared.counters.idle_closes,
+                };
+                ServeCounters::bump(counter);
+                close_conn(shared, conn);
+                false
+            });
+        }
+
+        // 4. Poll the gated listeners and every connection.
         fds.clear();
-        tokens.clear();
-        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-        tokens.push(Token::Wake);
-        let now = Instant::now();
+        polled.clear();
         let mut timeout = tick;
-        if !draining {
-            if let Some(listener) = &tcp {
-                if tcp_gate.ready(now) {
-                    fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-                    tokens.push(Token::Tcp);
-                } else if let Some(delay) = tcp_gate.time_to_retry(now) {
-                    timeout = timeout.min(delay.max(Duration::from_millis(1)));
-                }
-            }
-            if let Some(listener) = &unix {
-                if unix_gate.ready(now) {
-                    fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-                    tokens.push(Token::Unix);
-                } else if let Some(delay) = unix_gate.time_to_retry(now) {
+        if let Some(listeners) = &listeners {
+            let gates = *lock_ignore_poison(&shared.gates);
+            for is_tcp in [true, false] {
+                let Some(fd) = listeners.fd(is_tcp) else {
+                    continue;
+                };
+                let gate = &gates[usize::from(!is_tcp)];
+                if gate.ready(now) {
+                    fds.push(PollFd::new(fd, POLLIN));
+                    polled.push(is_tcp);
+                } else if let Some(delay) = gate.time_to_retry(now) {
                     timeout = timeout.min(delay.max(Duration::from_millis(1)));
                 }
             }
         }
-        for (&id, conn) in &parked {
-            let mut events = 0i16;
-            if !conn.close_after_flush && conn.out.pending() < cap {
-                events |= POLLIN;
+        for conn in &conns {
+            if conn.runnable(cap) {
+                // Its next turn needs no readiness: only look.
+                timeout = Duration::ZERO;
             }
-            if !conn.out.is_empty() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                fds.push(PollFd::new(conn.stream.raw_fd(), events));
-                tokens.push(Token::Conn(id));
-            }
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), conn.interest(cap)));
         }
         let _ = poll::poll(&mut fds, timeout);
-
-        // 5. Act on readiness.
-        for (slot, token) in fds.iter().zip(&tokens) {
-            match token {
-                Token::Wake => {
-                    if slot.ready() {
-                        let mut sink = [0u8; 64];
-                        let mut rx = &wake_rx;
-                        loop {
-                            match rx.read(&mut sink) {
-                                Ok(0) => break,
-                                Ok(_) => {}
-                                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                }
-                Token::Tcp | Token::Unix => {
-                    let is_tcp = matches!(token, Token::Tcp);
-                    // A fault-injected listener is attempted even
-                    // without a queued connection, so its forced
-                    // failures actually fire.
-                    if !slot.ready() && !shared.accept_fault_pending(is_tcp) {
-                        continue;
-                    }
-                    let gate = if is_tcp {
-                        &mut tcp_gate
-                    } else {
-                        &mut unix_gate
-                    };
-                    loop {
-                        match accept_stream(is_tcp, tcp.as_ref(), unix.as_ref(), &shared) {
-                            AcceptOut::Conn(stream) => {
-                                gate.success();
-                                ServeCounters::bump(&shared.counters.connections);
-                                let id = next_id;
-                                next_id += 1;
-                                // Straight to a worker: the client's
-                                // first frame is usually already in
-                                // flight, and an empty read just parks
-                                // the connection.
-                                dispatch(&job_tx, &mut in_flight, id, Conn::new(stream));
-                            }
-                            AcceptOut::WouldBlock => break,
-                            AcceptOut::Failed => {
-                                let counter = if is_tcp {
-                                    &shared.counters.accept_failures_tcp
-                                } else {
-                                    &shared.counters.accept_failures_unix
-                                };
-                                ServeCounters::bump(counter);
-                                gate.failure(Instant::now());
-                                break;
-                            }
-                        }
-                    }
-                }
-                Token::Conn(id) => {
-                    if slot.ready() {
-                        if let Some(conn) = parked.remove(id) {
-                            dispatch(&job_tx, &mut in_flight, *id, conn);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 6. Drain notices for parked connections that have gone quiet
-        //    (one read-deadline of grace lets an active client's
-        //    in-flight request finish first).
-        if draining {
-            let now = Instant::now();
-            let mut flushed_out: Vec<u64> = Vec::new();
-            for (&id, conn) in parked.iter_mut() {
-                if conn.notified_draining
-                    || now.duration_since(conn.last_progress) < shared.read_timeout
-                {
-                    continue;
-                }
-                conn.notified_draining = true;
-                conn.close_after_flush = true;
-                conn.push_response(&shared, &Response::Draining);
-                let _ = conn.flush(&shared);
-                if conn.out.is_empty() {
-                    flushed_out.push(id);
-                }
-            }
-            for id in flushed_out {
-                if let Some(conn) = parked.remove(&id) {
-                    close_conn(&shared, conn);
-                }
-            }
-        }
     }
-
-    // Shutdown: closing the job channel ends the workers.
-    drop(job_tx);
-    for worker in workers {
-        let _ = worker.join();
-    }
-    if let Some(path) = &config.unix {
-        let _ = std::fs::remove_file(path);
-    }
-    shared.freeze(true)
 }
 
-/// A worker: takes one connection at a time off the shared queue, runs a
-/// turn, hands it back, and nudges the dispatcher. Per-worker scratch
-/// buffers (events + read chunk) are reused across every turn. A panic
-/// in a turn (an internal bug) costs that connection, never the pool.
-fn worker_loop(jobs: &Mutex<mpsc::Receiver<Job>>, ret: &mpsc::Sender<Return>, shared: &Shared) {
-    let mut scratch: Vec<BranchEvent> = Vec::new();
-    let mut chunk = vec![0u8; 16 * 1024];
-    loop {
-        // Hold the receiver lock only for the blocking take, never
-        // during a turn.
-        let job = lock_ignore_poison(jobs).recv();
-        let Ok(mut job) = job else {
-            return;
-        };
-        let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_turn(&mut job.conn, shared, &mut scratch, &mut chunk)
-        }))
-        .unwrap_or(true);
-        if ret
-            .send(Return {
-                id: job.id,
-                conn: job.conn,
-                dead,
-            })
-            .is_err()
-        {
-            return;
-        }
-        shared.wake();
+/// Runs one turn on a connection. Returns whether the connection stays
+/// open; a dead one is closed here. A panic in a turn (an internal bug)
+/// costs that connection, never the worker.
+fn serve(
+    conn: &mut Conn,
+    shared: &Shared,
+    now: Instant,
+    scratch: &mut Vec<BranchEvent>,
+    chunk: &mut [u8],
+) -> bool {
+    let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        serve_turn(conn, shared, now, scratch, chunk)
+    }))
+    .unwrap_or(true);
+    if dead {
+        close_conn(shared, conn);
     }
+    !dead
 }
 
 /// One turn on a connection. Returns `true` when the connection is dead
@@ -619,33 +539,37 @@ fn worker_loop(jobs: &Mutex<mpsc::Receiver<Job>>, ret: &mpsc::Sender<Return>, sh
 fn serve_turn(
     conn: &mut Conn,
     shared: &Shared,
+    now: Instant,
     scratch: &mut Vec<BranchEvent>,
     chunk: &mut [u8],
 ) -> bool {
     let cap = shared.response_queue.max(1);
     // Flush first: delivered responses free budget for buffered frames.
-    if conn.flush(shared).is_err() {
+    if conn.flush(shared, now).is_err() {
         return true;
     }
     if process_buffered(conn, shared, scratch, cap) {
         return true;
     }
+    // One read per turn keeps a turn bounded however fast the peer
+    // sends (`Events` frames take no response budget); whatever is left
+    // keeps the socket readable for the next pass.
     let mut peer_eof = false;
-    while !conn.close_after_flush && conn.out.pending() < cap {
+    if !conn.close_after_flush && conn.out.pending() < cap {
         match conn.stream.read(chunk) {
-            Ok(0) => {
-                peer_eof = true;
-                break;
-            }
+            Ok(0) => peer_eof = true,
             Ok(n) => {
-                conn.last_progress = Instant::now();
+                conn.last_progress = now;
                 conn.decoder.extend(&chunk[..n]);
                 if process_buffered(conn, shared, scratch, cap) {
                     return true;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
+                ) => {}
             Err(_) => return true,
         }
     }
@@ -663,7 +587,7 @@ fn serve_turn(
         }
         conn.close_after_flush = true;
     }
-    if conn.flush(shared).is_err() {
+    if conn.flush(shared, now).is_err() {
         return true;
     }
     conn.close_after_flush && conn.out.is_empty()
@@ -696,7 +620,7 @@ fn process_buffered(
                 match protocol::decode_request_into(payload, scratch) {
                     Ok(request) => {
                         if let Some(response) = execute(shared, request, scratch) {
-                            out.push_response(shared, &response.encode());
+                            out.push_response(shared, &response);
                         }
                     }
                     Err(DecodeFailure {
@@ -713,8 +637,7 @@ fn process_buffered(
                                 session,
                                 code,
                                 detail: error.to_string(),
-                            }
-                            .encode(),
+                            },
                         );
                     }
                 }
@@ -727,8 +650,7 @@ fn process_buffered(
                         session: 0,
                         code: ErrorCode::Oversized,
                         detail: format!("declared frame length {declared}"),
-                    }
-                    .encode(),
+                    },
                 );
                 *close_after_flush = true;
                 return false;
@@ -737,5 +659,180 @@ fn process_buffered(
             // as fatal for this connection rather than guessing.
             Err(_) => return true,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{QueryKind, Request, WireEvent, WireExtractor};
+    use crate::server::ServeConfig;
+    use std::os::unix::net::UnixStream;
+    use tpcp_trace::FrameWriter;
+    use Buffered::{Nothing, PartFrame, WholeFrame};
+
+    const NS: Duration = Duration::from_nanos(1);
+    const D: Deadlines = Deadlines {
+        read: Duration::from_millis(25),
+        write: Duration::from_secs(5),
+        idle: Duration::from_secs(30),
+        drain: Duration::from_secs(10),
+    };
+
+    /// Any instant will do: the tests work in offsets from one.
+    fn epoch() -> Instant {
+        Instant::now()
+    }
+
+    /// `f` at one nanosecond before, exactly at, and one nanosecond after
+    /// `deadline` past `t0`, given the silence since `t0` as the worker
+    /// measures it.
+    fn around<T>(t0: Instant, deadline: Duration, f: impl Fn(Instant, Duration) -> T) -> [T; 3] {
+        [deadline - NS, deadline, deadline + NS].map(|d| f(t0 + d, d))
+    }
+
+    /// A fresh server state and one accepted connection to it, plus the
+    /// client end.
+    fn connected() -> (Shared, Conn, UnixStream) {
+        let shared = Shared::new(&ServeConfig::default());
+        let (client, server) = UnixStream::pair().expect("socket pair");
+        server.set_nonblocking(true).expect("nonblocking");
+        (shared, Conn::new(Box::new(server), epoch()), client)
+    }
+
+    #[test]
+    fn a_turn_serves_at_most_the_response_cap() {
+        // Eight response caps' worth of requests, all buffered at once:
+        // each turn must serve one cap's worth and leave the rest
+        // runnable, however fast the client keeps the pipeline full.
+        let (shared, mut conn, client) = connected();
+        let cap = shared.response_queue;
+        let query = Request::Query {
+            session: 1,
+            kind: QueryKind::Phase,
+        }
+        .encode();
+        let mut frames = FrameWriter::new(&client);
+        for _ in 0..8 * cap {
+            frames.write_frame(&query).expect("buffer a request");
+        }
+        let (mut scratch, mut chunk) = (Vec::new(), vec![0u8; 16 * 1024]);
+        for turn in 1..=8 {
+            assert!(serve(&mut conn, &shared, epoch(), &mut scratch, &mut chunk));
+            let read = shared.counters.frames_read.load(Ordering::Relaxed);
+            assert_eq!(read, (turn * cap) as u64, "turn {turn}");
+            assert_eq!(conn.runnable(cap), turn < 8, "turn {turn}");
+        }
+    }
+
+    #[test]
+    fn a_turn_reads_once_however_much_the_client_sent() {
+        // `Events` frames take no response budget, so only the one-read
+        // rule bounds a turn that serves them: eight read chunks' worth
+        // take at least eight turns.
+        let (shared, mut conn, client) = connected();
+        let mut frames = FrameWriter::new(Vec::new());
+        let hello = Request::Hello {
+            session: 1,
+            extractor: WireExtractor::Bbv,
+        };
+        frames
+            .write_frame(&hello.encode())
+            .expect("frame into memory");
+        let events = Request::Events {
+            session: 1,
+            events: vec![WireEvent { pc: 4, insns: 1 }; 100],
+        }
+        .encode();
+        let chunk_len = 1024;
+        let batches = 8 * chunk_len / events.len() + 1;
+        for _ in 0..batches {
+            frames.write_frame(&events).expect("frame into memory");
+        }
+        let sent = 1 + batches as u64;
+        (&client)
+            .write_all(frames.get_ref())
+            .expect("buffer the requests");
+        let (mut scratch, mut chunk) = (Vec::new(), vec![0u8; chunk_len]);
+        let mut turns = 0;
+        while shared.counters.frames_read.load(Ordering::Relaxed) < sent {
+            assert!(serve(&mut conn, &shared, epoch(), &mut scratch, &mut chunk));
+            turns += 1;
+        }
+        assert!(turns >= 8, "{sent} frames in {turns} turns");
+    }
+
+    #[test]
+    fn each_sweep_deadline_fires_exactly_at_its_timeout() {
+        use Verdict::{DeadReader, Idle, Keep, Stall};
+        // (deadline, buffered, out_empty, close_after_flush, verdict).
+        // A whole frame waiting on response budget is neither a stall
+        // nor idle: only the write deadline applies to it.
+        let cases = [
+            (D.read, PartFrame, true, false, Stall),
+            (D.write, Nothing, false, false, DeadReader),
+            (D.write, WholeFrame, false, false, DeadReader),
+            (D.write, WholeFrame, false, true, DeadReader),
+            (D.idle, Nothing, true, false, Idle),
+        ];
+        let t0 = epoch();
+        for (deadline, buffered, out_empty, close, past) in cases {
+            let verdict = |_: Instant, s| D.verdict(s, buffered, out_empty, close);
+            assert_eq!(
+                around(t0, deadline, verdict),
+                [Keep, past, past],
+                "{buffered:?}, out_empty {out_empty}, close_after_flush {close}"
+            );
+        }
+        // Past every deadline at once, the first applicable one names
+        // the close; a connection closing after its flush, or holding a
+        // whole frame, is never idle.
+        let long = D.idle + D.write;
+        assert_eq!(D.verdict(long, PartFrame, false, false), Stall);
+        assert_eq!(D.verdict(long, Nothing, false, false), DeadReader);
+        assert_eq!(D.verdict(long, Nothing, true, true), Keep);
+        assert_eq!(D.verdict(long, WholeFrame, true, false), Keep);
+    }
+
+    #[test]
+    fn drain_notifies_after_a_read_deadline_and_closes_at_its_deadline() {
+        use DrainStep::{Close, Notify, Wait};
+        let t0 = epoch();
+        let by = t0 + D.drain;
+        assert_eq!(
+            around(t0, D.read, |now, s| D.drain_step(now, by, s, false)),
+            [Wait, Notify, Notify]
+        );
+        // One notice per connection.
+        assert_eq!(
+            around(t0, D.read, |now, s| D.drain_step(now, by, s, true)),
+            [Wait, Wait, Wait]
+        );
+        for notified in [false, true] {
+            let step = |now, _: Duration| D.drain_step(now, by, Duration::ZERO, notified);
+            assert_eq!(around(t0, D.drain, step), [Wait, Close, Close]);
+        }
+    }
+
+    #[test]
+    fn a_clock_jump_past_the_drain_deadline_closes_in_one_pass() {
+        // Drain armed at t0; the clock then jumps far past its deadline
+        // before the worker's next pass (a suspended host, say).
+        let t0 = epoch();
+        let now = t0 + D.drain * 100;
+        let silent = now.duration_since(t0 + D.read);
+        for notified in [false, true] {
+            assert_eq!(
+                D.drain_step(now, t0 + D.drain, silent, notified),
+                DrainStep::Close
+            );
+        }
+        // The same jump expires every deadline the sweep enforces.
+        assert_eq!(D.verdict(silent, PartFrame, true, false), Verdict::Stall);
+        assert_eq!(
+            D.verdict(silent, WholeFrame, false, false),
+            Verdict::DeadReader
+        );
+        assert_eq!(D.verdict(silent, Nothing, true, false), Verdict::Idle);
     }
 }

@@ -1,7 +1,8 @@
-//! The server: a readiness-driven worker pool (the serve loop itself is
-//! in `pool.rs`) over a sharded session store, with per-listener accept
-//! backoff, per-connection deadlines, bounded per-connection response
-//! queues, and graceful drain.
+//! The server: a pool of workers, each running its own readiness loop
+//! over the connections it accepts (the loop itself is in `pool.rs`),
+//! over a sharded session store, with per-listener accept backoff,
+//! per-connection deadlines, bounded per-connection response queues, and
+//! graceful drain.
 //!
 //! # Failure model
 //!
@@ -27,10 +28,10 @@
 //!   accepting, lets in-flight work flush within a deadline, then
 //!   freezes a final telemetry snapshot.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use tpcp_core::BranchEvent;
 
+use crate::pool::Deadlines;
 use crate::protocol::{ErrorCode, FastRequest, Response};
 use crate::session::{lock_ignore_poison, ShardedStore, StoreError};
 use crate::telemetry::{ServeCounters, ServeTelemetry};
@@ -67,8 +69,9 @@ pub struct ServeConfig {
     /// Most parked snapshots kept before the oldest is dropped (split
     /// evenly across shards, rounding up).
     pub max_parked: usize,
-    /// Worker threads multiplexing connections via the readiness loop.
-    /// At least one worker runs: `0` is served as `1`.
+    /// Worker threads, each running its own readiness loop over the
+    /// connections it accepts. At least one worker runs: `0` is served
+    /// as `1`.
     pub workers: usize,
     /// Session-store shards (each an independently locked LRU).
     pub shards: usize,
@@ -123,50 +126,43 @@ impl Default for ServeConfig {
 pub(crate) struct Shared {
     pub(crate) store: ShardedStore,
     pub(crate) counters: ServeCounters,
-    /// Set by [`ServerHandle::begin_drain`]; the serve loop stops
-    /// accepting and connections drain and close.
+    /// Set by [`ServerHandle::begin_drain`]; each worker sees it within
+    /// one poll tick, stops accepting, and drains its connections.
     stop: AtomicBool,
     /// Set when the serve loop has exited (stops the telemetry thread).
     finished: AtomicBool,
-    pub(crate) read_timeout: Duration,
-    pub(crate) idle_timeout: Duration,
-    pub(crate) write_timeout: Duration,
+    pub(crate) deadlines: Deadlines,
+    /// Accept backoff per listener, TCP's then Unix's, shared by every
+    /// worker.
+    pub(crate) gates: Mutex<[BackoffGate; 2]>,
     pub(crate) response_queue: usize,
     /// Pool workers that run (the configured count, at least one).
     pub(crate) workers: usize,
-    /// Write half of the self-wake pipe: nudges the dispatcher out of
-    /// `poll` when a worker returns a connection or drain begins.
-    waker: UnixStream,
-    /// Coalesces wakes: set by the first waker, cleared by the
-    /// dispatcher at the top of its loop. While set, further wakes are
-    /// free — the dispatcher is already committed to another pass, so a
-    /// burst of worker returns costs one pipe write and one poll wakeup
-    /// instead of one per return.
-    wake_pending: AtomicBool,
     /// The most recent periodic telemetry snapshot.
     latest: Mutex<Option<ServeTelemetry>>,
-    /// Remaining forced accept failures (fault injection).
-    fault_tcp: AtomicU64,
-    fault_unix: AtomicU64,
+    /// Remaining forced accept failures per listener, TCP's then Unix's
+    /// (fault injection).
+    faults: [AtomicU64; 2],
 }
 
 impl Shared {
-    fn new(config: &ServeConfig, waker: UnixStream) -> Self {
+    pub(crate) fn new(config: &ServeConfig) -> Self {
         Self {
             store: ShardedStore::new(config.shards, config.max_live, config.max_parked),
             counters: ServeCounters::default(),
             stop: AtomicBool::new(false),
             finished: AtomicBool::new(false),
-            read_timeout: config.read_timeout,
-            idle_timeout: config.idle_timeout,
-            write_timeout: config.write_timeout,
+            deadlines: Deadlines {
+                read: config.read_timeout,
+                write: config.write_timeout,
+                idle: config.idle_timeout,
+                drain: config.drain_deadline,
+            },
+            gates: Mutex::new([BackoffGate::new(); 2]),
             response_queue: config.response_queue,
             workers: config.workers.max(1),
-            waker,
-            wake_pending: AtomicBool::new(false),
             latest: Mutex::new(None),
-            fault_tcp: AtomicU64::new(config.accept_faults.tcp),
-            fault_unix: AtomicU64::new(config.accept_faults.unix),
+            faults: [config.accept_faults.tcp, config.accept_faults.unix].map(AtomicU64::new),
         }
     }
 
@@ -174,34 +170,11 @@ impl Shared {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Nudges the dispatcher out of its poll wait.
-    pub(crate) fn wake(&self) {
-        if self.wake_pending.swap(true, Ordering::SeqCst) {
-            // A wake is already in flight; the dispatcher will see our
-            // work when it runs its pass.
-            return;
-        }
-        // A WouldBlock here means the pipe is full, which already
-        // guarantees a pending wakeup.
-        let _ = (&self.waker).write(&[1u8]);
-    }
-
-    /// Re-arms wake coalescing; the dispatcher calls this at the top of
-    /// every pass, *before* it consumes pending work, so a wake that
-    /// races the pass is never lost — it just writes the pipe again.
-    pub(crate) fn begin_dispatch_pass(&self) {
-        self.wake_pending.store(false, Ordering::SeqCst);
-    }
-
     /// Consumes one forced accept failure for the listener, if any are
     /// left.
     pub(crate) fn take_accept_fault(&self, tcp: bool) -> bool {
-        let slot = if tcp {
-            &self.fault_tcp
-        } else {
-            &self.fault_unix
-        };
-        slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+        self.faults[usize::from(!tcp)]
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
     }
 
@@ -209,12 +182,7 @@ impl Shared {
     /// (fault-injected listeners must be *attempted* even when no real
     /// connection is queued, so the injected failures actually fire).
     pub(crate) fn accept_fault_pending(&self, tcp: bool) -> bool {
-        let slot = if tcp {
-            &self.fault_tcp
-        } else {
-            &self.fault_unix
-        };
-        slot.load(Ordering::SeqCst) > 0
+        self.faults[usize::from(!tcp)].load(Ordering::SeqCst) > 0
     }
 
     /// Freezes a telemetry snapshot of the current counters and store
@@ -232,9 +200,9 @@ impl Shared {
 
 /// Per-listener accept backoff: exponential from 1 ms to 1 s on
 /// failures, reset by the first successful accept. Each listener owns
-/// its own gate, so one failing endpoint never delays the other — the
-/// serve loop simply excludes a backed-off listener from its readiness
-/// set until the gate's retry time.
+/// its own gate, so one failing endpoint never delays the other — every
+/// worker simply excludes a backed-off listener from its readiness set
+/// until the gate's retry time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BackoffGate {
     backoff: Duration,
@@ -303,10 +271,10 @@ impl ServerHandle {
     }
 
     /// Requests a graceful drain: stop accepting, flush in-flight work,
-    /// freeze telemetry. Idempotent.
+    /// freeze telemetry. Every worker sees the request within one poll
+    /// tick (`read_timeout`, clamped to 1–100 ms). Idempotent.
     pub fn begin_drain(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake();
     }
 
     /// Whether the serve loop is still running.
@@ -371,10 +339,7 @@ impl Server {
             }
             None => None,
         };
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let shared = Arc::new(Shared::new(&config, wake_tx));
+        let shared = Arc::new(Shared::new(&config));
         let loop_shared = Arc::clone(&shared);
         let unix_path = config.unix.clone();
         let telemetry_thread = config.telemetry_interval.map(|interval| {
@@ -382,8 +347,13 @@ impl Server {
             let path = config.telemetry_path.clone();
             thread::spawn(move || telemetry_loop(&shared, interval, path.as_deref()))
         });
-        let thread =
-            thread::spawn(move || crate::pool::pool_loop(tcp, unix, wake_rx, config, loop_shared));
+        let thread = thread::spawn(move || {
+            crate::pool::pool_loop(tcp, unix, &loop_shared);
+            if let Some(path) = &config.unix {
+                let _ = std::fs::remove_file(path);
+            }
+            loop_shared.freeze(true)
+        });
         Ok(ServerHandle {
             tcp_addr,
             unix_path,

@@ -47,9 +47,6 @@ pub struct ServeCounters {
     /// Gauge: responses currently queued (encoded, not yet written)
     /// across all connections.
     pub queued_responses: AtomicU64,
-    /// Gauge: connections handed to the worker pool and not yet
-    /// returned (queued for a worker or being served).
-    pub dispatch_depth: AtomicU64,
 }
 
 impl ServeCounters {
@@ -92,8 +89,6 @@ pub struct ServeTelemetry {
     pub queries: u64,
     /// Responses queued and not yet written, at snapshot time.
     pub queued_responses: u64,
-    /// Connections at (or queued for) a pool worker, at snapshot time.
-    pub dispatch_depth: u64,
     /// Pool workers serving connections (the configured count, at least
     /// one).
     pub workers: u64,
@@ -131,7 +126,6 @@ impl ServeTelemetry {
             intervals: counters.intervals.load(Ordering::Relaxed),
             queries: counters.queries.load(Ordering::Relaxed),
             queued_responses: counters.queued_responses.load(Ordering::Relaxed),
-            dispatch_depth: counters.dispatch_depth.load(Ordering::Relaxed),
             workers,
             store,
             shards: occupancy
@@ -147,7 +141,7 @@ impl ServeTelemetry {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1536);
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"tpcp-serve-telemetry-v2\",");
+        let _ = writeln!(out, "  \"schema\": \"tpcp-serve-telemetry-v3\",");
         let _ = writeln!(out, "  \"drained\": {},", self.drained);
         let _ = writeln!(out, "  \"workers\": {},", self.workers);
         let _ = writeln!(out, "  \"connections\": {},", self.connections);
@@ -166,7 +160,6 @@ impl ServeTelemetry {
         let _ = writeln!(out, "  \"intervals\": {},", self.intervals);
         let _ = writeln!(out, "  \"queries\": {},", self.queries);
         let _ = writeln!(out, "  \"queued_responses\": {},", self.queued_responses);
-        let _ = writeln!(out, "  \"dispatch_depth\": {},", self.dispatch_depth);
         let _ = writeln!(out, "  \"sessions\": {{");
         let _ = writeln!(out, "    \"created\": {},", self.store.created);
         let _ = writeln!(out, "    \"evictions\": {},", self.store.evictions);
@@ -205,7 +198,7 @@ mod tests {
             true,
         )
         .to_json();
-        assert!(json.contains("\"schema\": \"tpcp-serve-telemetry-v2\""));
+        assert!(json.contains("\"schema\": \"tpcp-serve-telemetry-v3\""));
         assert!(json.contains("\"connections\": 1"));
         assert!(json.contains("\"intervals\": 1"));
         assert!(json.contains("\"drained\": true"));

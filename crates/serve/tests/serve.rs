@@ -213,6 +213,93 @@ fn slow_reader_does_not_stall_sibling_sessions() {
     assert_eq!(telemetry.intervals, FLOOD + 8);
 }
 
+/// A client that keeps its pipeline full and reads every response always
+/// leaves complete frames buffered. It must not hold its worker: at one
+/// worker, a sibling session still completes and drain still finishes by
+/// its deadline.
+#[test]
+fn pipelining_client_cannot_hold_a_single_worker() {
+    let mut config = quick_config();
+    config.workers = 1;
+    // A deep queue lets one turn serve many frames, so turns that ran
+    // back to back while frames stay buffered would hold the worker long.
+    config.response_queue = 256;
+    config.drain_deadline = Duration::from_millis(200);
+    let (handle, addr) = spawn(config);
+
+    let mut hog = TestClient::connect(addr);
+    hog.send(&Request::Hello {
+        session: 300,
+        extractor: WireExtractor::WorkingSet,
+    });
+    assert!(matches!(hog.recv(), Response::Ok { session: 300 }));
+    // 64 pipelined `EndInterval`s per write, as fast as the server takes
+    // them, and responses read through a buffer: the client outpaces the
+    // server both ways, so complete frames are always buffered. The time
+    // cap only keeps a regression from hanging the suite.
+    let end = Request::EndInterval {
+        session: 300,
+        cpi: 1.0,
+    }
+    .encode();
+    let mut batch = FrameWriter::new(Vec::new());
+    for _ in 0..64 {
+        batch.write_frame(&end).expect("frame into memory");
+    }
+    let batch = batch.get_ref().clone();
+    let stream = hog.reader.get_ref();
+    let mut raw = stream.try_clone().expect("clone hog stream");
+    let mut responses = FrameReader::new(std::io::BufReader::with_capacity(
+        1 << 16,
+        stream.try_clone().expect("clone hog stream"),
+    ));
+    let cap = Instant::now() + Duration::from_secs(10);
+    let writer =
+        std::thread::spawn(move || while Instant::now() < cap && raw.write_all(&batch).is_ok() {});
+    let reader = std::thread::spawn(move || {
+        let mut answered = 0u64;
+        // Until the drain notice or a closed socket.
+        while let Ok(Some(payload)) = responses.read_frame() {
+            match Response::decode(payload).expect("decode response") {
+                Response::Classified { intervals, .. } => {
+                    answered += 1;
+                    assert_eq!(intervals, answered, "responses stay in order");
+                }
+                Response::Draining => break,
+                other => panic!("expected Classified or Draining, got {other:?}"),
+            }
+        }
+        answered
+    });
+    // Let the pipeline fill before the sibling arrives.
+    while handle.telemetry_now().intervals < 256 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let started = Instant::now();
+    let script = SessionScript::for_session(301, 8);
+    let transcript =
+        run_session(addr, &script, &no_faults, STALL_HOLD).expect("sibling session succeeds");
+    assert!(transcript.completed);
+    let sibling = started.elapsed();
+    assert!(
+        sibling < Duration::from_secs(2),
+        "sibling took {sibling:?} beside a pipelining client"
+    );
+
+    let started = Instant::now();
+    let telemetry = handle.join();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "drain took {elapsed:?} beside a pipelining client, deadline 200ms"
+    );
+    writer.join().expect("pipelining writer");
+    let answered = reader.join().expect("pipelining reader");
+    assert!(answered >= 256);
+    assert!(telemetry.intervals >= answered + 8);
+}
+
 #[test]
 fn unix_socket_serves_the_same_protocol() {
     let dir = std::env::temp_dir().join(format!("tpcp-serve-test-{}", std::process::id()));

@@ -145,8 +145,11 @@ fn read_varint_general(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
 }
 
 /// Decodes `n_events` delta/insns varint pairs starting at `*pos`,
-/// reconstructing absolute PCs and delivering each event. The scalar
-/// reference kernel: one bounds-checked varint at a time.
+/// reconstructing absolute PCs from the running `*prev_pc` (0 at an
+/// interval's start) and delivering each event. The scalar reference
+/// kernel: one bounds-checked varint at a time. The SWAR kernel calls it
+/// for every event its windows do not cover, so there is one reference
+/// decode step.
 ///
 /// Plausibility of `n_events` against the remaining buffer is the
 /// *caller's* responsibility ([`StreamingDecoder::try_next_interval_with`]
@@ -156,14 +159,14 @@ fn decode_events_scalar<F: FnMut(BranchEvent)>(
     buf: &[u8],
     pos: &mut usize,
     n_events: u64,
+    prev_pc: &mut i64,
     on_event: &mut F,
 ) -> Result<(), CodecError> {
-    let mut prev_pc = 0i64;
     for _ in 0..n_events {
         let delta = zigzag_decode(read_varint(buf, pos)?);
         let insns = read_varint(buf, pos)?;
-        prev_pc = prev_pc.wrapping_add(delta);
-        on_event(BranchEvent::new(prev_pc as u64, insns as u32));
+        *prev_pc = prev_pc.wrapping_add(delta);
+        on_event(BranchEvent::new(*prev_pc as u64, insns as u32));
     }
     Ok(())
 }
@@ -345,12 +348,9 @@ fn decode_events_swar<F: FnMut(BranchEvent)>(
         if cont & (cont >> 8) != 0 {
             // Two adjacent continuation bits: a varint of three or more
             // bytes somewhere in the window. Decode one event through the
-            // general path (same error positions as the scalar kernel),
-            // then resume windowed decode.
-            let delta = zigzag_decode(read_varint(buf, pos)?);
-            let insns = read_varint(buf, pos)?;
-            prev_pc = prev_pc.wrapping_add(delta);
-            on_event(BranchEvent::new(prev_pc as u64, insns as u32));
+            // scalar kernel (same error positions), then resume windowed
+            // decode.
+            decode_events_scalar(buf, pos, 1, &mut prev_pc, on_event)?;
             remaining -= 1;
             continue;
         }
@@ -381,13 +381,7 @@ fn decode_events_swar<F: FnMut(BranchEvent)>(
     }
     // Buffer tail (or an early bail above): scalar, continuing from the
     // running PC.
-    for _ in 0..remaining {
-        let delta = zigzag_decode(read_varint(buf, pos)?);
-        let insns = read_varint(buf, pos)?;
-        prev_pc = prev_pc.wrapping_add(delta);
-        on_event(BranchEvent::new(prev_pc as u64, insns as u32));
-    }
-    Ok(())
+    decode_events_scalar(buf, pos, remaining, &mut prev_pc, on_event)
 }
 
 /// Encodes a recorded trace into a compact binary buffer.
@@ -741,7 +735,7 @@ impl<'a> StreamingDecoder<'a> {
             return Err(CodecError::ImplausibleLength);
         }
         if self.force_scalar {
-            decode_events_scalar(buf, pos, n_events, on_event)?;
+            decode_events_scalar(buf, pos, n_events, &mut 0, on_event)?;
         } else {
             decode_events_swar(buf, pos, n_events, on_event)?;
         }
