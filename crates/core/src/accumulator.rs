@@ -21,6 +21,36 @@ pub(crate) fn mix64(pc: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Folds a power-of-two bucket table into a narrower one: `narrow[j]`
+/// becomes `combine` over `wide[i]` for every `i ≡ j (mod narrow.len())`.
+/// Every back-end buckets by `mix64(key) & (n − 1)`, so that is the
+/// bucket a narrow table would have used.
+pub(crate) fn fold_buckets(wide: &[u64], narrow: &mut [u64], combine: impl Fn(u64, u64) -> u64) {
+    let n = narrow.len();
+    assert!(
+        n <= wide.len(),
+        "can only fold into a narrower power-of-two table"
+    );
+    narrow.copy_from_slice(&wide[..n]);
+    for chunk in wide[n..].chunks_exact(n) {
+        for (acc, &c) in narrow.iter_mut().zip(chunk) {
+            *acc = combine(*acc, c);
+        }
+    }
+}
+
+/// Folds a counter table into a narrower one by summing
+/// ([`fold_buckets`]), clamped once at the 24-bit ceiling. The clamp is
+/// exact: a chain of saturating adds of non-negative values equals one
+/// clamp of their sum, so each wide counter is `min(sum, max)`, and
+/// clamping a sum of those equals clamping the sum of the raw sums.
+pub(crate) fn fold_counts(wide: &[u64], narrow: &mut [u64]) {
+    fold_buckets(wide, narrow, |a, b| a + b);
+    for sum in narrow {
+        *sum = (*sum).min(COUNTER_MAX);
+    }
+}
+
 /// An array of N saturating counters holding the signature of the current
 /// interval (the paper's Figure 1).
 ///
@@ -113,6 +143,13 @@ impl AccumulatorTable {
         let c = &mut self.counters[idx];
         *c = (*c + u64::from(ev.insns)).min(COUNTER_MAX);
         self.total += u64::from(ev.insns);
+    }
+
+    /// Folds this table into the narrower `narrow` (see [`fold_counts`]);
+    /// the instruction total carries over.
+    pub(crate) fn fold_into(&self, narrow: &mut Self) {
+        fold_counts(&self.counters, &mut narrow.counters);
+        narrow.total = self.total;
     }
 
     /// Clears all counters for the next interval.

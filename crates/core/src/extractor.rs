@@ -30,7 +30,7 @@
 
 use tpcp_trace::BranchEvent;
 
-use crate::accumulator::{mix64, AccumulatorTable, COUNTER_MAX};
+use crate::accumulator::{fold_buckets, fold_counts, mix64, AccumulatorTable, COUNTER_MAX};
 use crate::config::{BitSelectionMode, ClassifierConfig};
 use crate::signature::{BitSelection, Signature};
 use crate::snapshot::{self, SnapReader, SnapshotError};
@@ -45,7 +45,9 @@ pub type BbvExtractor = AccumulatorTable;
 /// Which feature back-end a classifier uses to fill its signature each
 /// interval. Selected per configuration via
 /// [`ClassifierConfig::extractor`](crate::ClassifierConfig); the engine
-/// shares one accumulation front-end per distinct `(kind, dims)` shape.
+/// shares one accumulation front-end per kind, at the widest dims its
+/// lanes ask for, and folds it into each narrower shape
+/// ([`AnyExtractor::fold_into`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExtractorKind {
     /// Branch-PC BBV accumulation (the paper's architecture, Section 4.1).
@@ -227,6 +229,14 @@ impl WorkingSetExtractor {
         self.regions
     }
 
+    /// Folds this bitmap into the narrower `narrow`: bucket `j` is touched
+    /// when any bucket `i ≡ j (mod narrow.dims())` is, and the region
+    /// count is recounted.
+    pub(crate) fn fold_into(&self, narrow: &mut Self) {
+        fold_buckets(&self.touched, &mut narrow.touched, |a, b| a | b);
+        narrow.regions = narrow.touched.iter().sum();
+    }
+
     /// Appends the bitmap to a snapshot, packed 8 regions per byte (the
     /// region count and index mask are derived state, recomputed on
     /// restore).
@@ -358,6 +368,16 @@ impl BranchMixExtractor {
         self.total
     }
 
+    /// Folds this mix into the narrower `narrow`. Counter `2b + d`
+    /// (bucket `b`, direction `d`) lands on `(2b + d) mod narrow.dims()`,
+    /// which is bucket `b mod (narrow.dims() / 2)` with the same
+    /// direction, so the counters fold like the accumulator table's.
+    pub(crate) fn fold_into(&self, narrow: &mut Self) {
+        fold_counts(&self.counters, &mut narrow.counters);
+        narrow.total = self.total;
+        narrow.last_pc = self.last_pc;
+    }
+
     /// Appends the mix counters to a snapshot.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
         snapshot::put_varint(out, self.counters.len() as u64);
@@ -443,6 +463,48 @@ pub enum AnyExtractor {
 }
 
 impl AnyExtractor {
+    /// Overwrites `narrow`, an extractor of the same kind and at most this
+    /// one's dims, with the state it would hold had it observed this
+    /// interval's events itself. Every back-end buckets by
+    /// `mix64(key) & (n − 1)` over a power-of-two `n`, so a narrower table
+    /// is an exact fold of a wider one: counting back-ends sum buckets
+    /// `i ≡ j (mod n)` and clamp once at 2^24 − 1 (a chain of saturating
+    /// adds of non-negative values equals one clamp of their sum), and the
+    /// working-set bitmap ORs them. This is how one front-end per kind
+    /// serves every width its lanes ask for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kinds differ or `narrow` is the wider of the two.
+    pub fn fold_into(&self, narrow: &mut AnyExtractor) {
+        match (self, narrow) {
+            (AnyExtractor::Bbv(w), AnyExtractor::Bbv(n)) => w.fold_into(n),
+            (AnyExtractor::WorkingSet(w), AnyExtractor::WorkingSet(n)) => w.fold_into(n),
+            (AnyExtractor::BranchMix(w), AnyExtractor::BranchMix(n)) => w.fold_into(n),
+            (w, n) => panic!(
+                "cannot fold a {} extractor into a {} one",
+                w.kind(),
+                n.kind()
+            ),
+        }
+    }
+
+    /// Records one interval's branches in program order, the same as
+    /// [`FeatureExtractor::observe`] on each, with the back-end dispatched
+    /// once per slice instead of once per event.
+    pub fn observe_batch(&mut self, events: &[BranchEvent]) {
+        fn each<E: FeatureExtractor>(x: &mut E, events: &[BranchEvent]) {
+            for &ev in events {
+                x.observe(ev);
+            }
+        }
+        match self {
+            AnyExtractor::Bbv(x) => each(x, events),
+            AnyExtractor::WorkingSet(x) => each(x, events),
+            AnyExtractor::BranchMix(x) => each(x, events),
+        }
+    }
+
     /// Appends this extractor (kind tag + state) to a snapshot.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
         match self {

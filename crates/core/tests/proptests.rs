@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use tpcp_core::{
-    AccumulatorTable, BitSelection, ClassifierConfig, PhaseClassifier, PhaseId, Signature,
+    AccumulatorTable, BitSelection, BitSelectionMode, ClassifierConfig, ExtractorKind,
+    FeatureExtractor, PhaseClassifier, PhaseId, Signature,
 };
 use tpcp_trace::BranchEvent;
 
@@ -10,6 +11,19 @@ fn arb_events() -> impl Strategy<Value = Vec<BranchEvent>> {
     prop::collection::vec(
         (0u64..1 << 20, 1u32..500).prop_map(|(pc, n)| BranchEvent::new(pc * 4, n)),
         1..100,
+    )
+}
+
+/// Branches over a small code footprint (so buckets collide at every
+/// width), with block sizes up to `u32::MAX` (so BBV counters saturate).
+fn arb_fold_events() -> impl Strategy<Value = Vec<BranchEvent>> {
+    prop::collection::vec(
+        (
+            0u64..1 << 12,
+            prop_oneof![1u32..500, any::<u32>(), Just(u32::MAX)],
+        )
+            .prop_map(|(pc, n)| BranchEvent::new(pc * 4, n)),
+        0..200,
     )
 }
 
@@ -111,5 +125,49 @@ proptest! {
             last = c.classify_interval(events.iter().copied(), 1.0);
         }
         prop_assert!(!last.is_transition());
+    }
+
+    /// A narrower extractor is an exact fold of a wider one: for every
+    /// kind, a 64-dim extractor folded into each narrower power of two
+    /// (down to 2 dims for branch-mix, 1 for the others) equals one built
+    /// at that width from the same events, in state (saturated counters,
+    /// totals, the working-set region recount) and in the signature it
+    /// finalizes to under dynamic and static bit selection. The fold
+    /// target starts dirty, because the engine never resets one.
+    #[test]
+    fn folding_a_wide_extractor_equals_building_it_narrow(
+        events in arb_fold_events(),
+        low_bit in 0u32..24,
+    ) {
+        let configs = [
+            ClassifierConfig::hpca2005(),
+            ClassifierConfig::builder()
+                .bit_selection(BitSelectionMode::Static { low_bit })
+                .build(),
+        ];
+        for kind in ExtractorKind::ALL {
+            let mut wide = kind.build(64);
+            wide.observe_batch(&events);
+            let narrowest = if kind == ExtractorKind::BranchMix { 2 } else { 1 };
+            let mut dims = 64;
+            while dims >= narrowest {
+                let mut built = kind.build(dims);
+                for &ev in &events {
+                    built.observe(ev);
+                }
+                let mut folded = kind.build(dims);
+                folded.observe(BranchEvent::new(0x40, 7));
+                wide.fold_into(&mut folded);
+                prop_assert!(folded == built, "{kind} at {dims} dims: {folded:?} != {built:?}");
+                for config in &configs {
+                    let (f, b) = (
+                        folded.finalize_into(config, Vec::new()),
+                        built.finalize_into(config, Vec::new()),
+                    );
+                    prop_assert!(f == b, "{kind} at {dims} dims, {:?}: {f:?} != {b:?}", config.bit_selection);
+                }
+                dims /= 2;
+            }
+        }
     }
 }

@@ -8,14 +8,15 @@
 //!
 //! The engine inverts that. Experiments *register* interest up front —
 //! "classify benchmark X under config C", "attach this predictor to that
-//! classification", "collect BBVs for X" — and receive [`Pending`]
+//! classification", "cluster X's BBVs with SimPoint" — and receive [`Pending`]
 //! handles. [`Engine::run`] then replays each distinct `(benchmark,
 //! params)` trace **exactly once**, fanning every interval out to all
 //! registered lanes, and fills the handles. The sweep is two-level:
 //! benchmarks are swept concurrently on scoped threads, a
-//! group's classifier lanes share one accumulation pass per distinct
-//! accumulator count, and wide groups shard their lanes across spare
-//! workers (see DESIGN.md). Results are deterministic because
+//! group's classifier lanes share one accumulation pass per extractor
+//! kind (narrower shapes are exact folds of the widest table of their
+//! kind), and wide groups shard their lanes across spare workers (see
+//! DESIGN.md). Results are deterministic because
 //! each handle is written by exactly one lane regardless of thread
 //! scheduling. Worker count is an [`Engine::with_workers`] knob,
 //! overridable via the `TPCP_WORKERS` environment variable.
@@ -46,7 +47,7 @@ mod telemetry;
 use std::sync::{Arc, Mutex};
 
 use tpcp_core::{ClassifierConfig, PhaseObserver};
-use tpcp_trace::{BbvTrace, IntervalSink, ReplayPlan};
+use tpcp_trace::{IntervalSink, ReplayPlan};
 use tpcp_workloads::BenchmarkKind;
 
 use crate::classify::ClassifiedRun;
@@ -54,10 +55,10 @@ use crate::report::Table;
 use crate::suite::SuiteParams;
 
 use error::{lock_ignore_poison, FailureHandle};
-use sink::{ClassifierLane, ErasedLane, Probe, RawProbe};
+use sink::{ClassifierLane, ErasedLane, Probe, RawProbe, SimPointLane};
 
 pub use error::{EngineError, FailureCause, FailureReport, LaneFailure, SweepError};
-pub use sink::BbvSink;
+pub use sink::{BbvSink, SimPointRun};
 pub use sweep::EngineStats;
 pub use telemetry::{CacheCounters, GroupTelemetry, LaneTelemetry, StageNanos, TelemetrySnapshot};
 
@@ -146,6 +147,9 @@ pub(crate) struct TraceGroup {
     pub(crate) params: SuiteParams,
     pub(crate) lanes: Vec<ClassifierLane>,
     pub(crate) raw: Vec<Box<dyn ErasedLane>>,
+    /// The group's one BBV collection and SimPoint clustering, if any
+    /// registration asked for it.
+    pub(crate) simpoint: Option<SimPointLane>,
     /// Which intervals of the trace the group's single replay decodes.
     /// Defaults to [`ReplayPlan::full`]; a sampled plan routes the group
     /// through the seek-driven [`PlannedReplay`](tpcp_trace::PlannedReplay).
@@ -161,7 +165,10 @@ impl TraceGroup {
             lane.collect_failure_handles(&mut handles);
         }
         for raw in &self.raw {
-            handles.push(raw.failure_handle());
+            raw.collect_failure_handles(&mut handles);
+        }
+        if let Some(simpoint) = &self.simpoint {
+            simpoint.collect_failure_handles(&mut handles);
         }
         handles
     }
@@ -252,6 +259,7 @@ impl Engine {
                 params,
                 lanes: Vec::new(),
                 raw: Vec::new(),
+                simpoint: None,
                 plan: ReplayPlan::full(),
             });
             self.groups.len() - 1
@@ -358,10 +366,23 @@ impl Engine {
         cell
     }
 
-    /// Registers basic-block-vector collection for `kind` — the offline
-    /// (SimPoint) input format — riding the same single replay.
-    pub fn bbvs(&mut self, kind: BenchmarkKind) -> Pending<BbvTrace> {
-        self.interval_sink(kind, BbvSink::new(), BbvSink::into_trace)
+    /// Registers a reduction of `kind`'s basic block vectors and their
+    /// default-configuration SimPoint clustering ([`SimPointRun`]), the
+    /// offline baseline. Every registration on a trace group shares one
+    /// BBV collection riding the group's single replay and one
+    /// clustering, the way repeat [`classified`](Self::classified)
+    /// registrations share a lane; the clustering and each `reduce` run
+    /// on the sweep worker, so they stay parallel across benchmarks.
+    pub fn simpoint<R, F>(&mut self, kind: BenchmarkKind, reduce: F) -> Pending<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&SimPointRun) -> R + Send + 'static,
+    {
+        let params = self.params;
+        self.group_mut(kind, params)
+            .simpoint
+            .get_or_insert_with(SimPointLane::default)
+            .register(reduce)
     }
 
     pub(crate) fn into_groups(self) -> Vec<TraceGroup> {

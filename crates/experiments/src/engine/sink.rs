@@ -3,7 +3,8 @@
 //! Two layers consume a trace's interval stream:
 //!
 //! - **Raw lanes** implement [`IntervalSink`] directly and see the
-//!   unclassified event stream ([`BbvSink`], arbitrary user sinks).
+//!   unclassified event stream (arbitrary user sinks, and the group's
+//!   one shared BBV collection for SimPoint, [`SimPointLane`]).
 //! - **Classifier lanes** wrap one [`PhaseClassifier`] configuration and
 //!   forward each classified interval to attached
 //!   [`PhaseObserver`](tpcp_core::PhaseObserver) probes — predictors,
@@ -14,6 +15,7 @@ use tpcp_core::{
     AnyExtractor, ClassifierConfig, ExtractorKind, PhaseClassifier, PhaseId, PhaseObserver,
 };
 use tpcp_metrics::{CovAccumulator, RunAccumulator};
+use tpcp_simpoint::{SimPointClassifier, SimPointConfig, SimPointResult};
 use tpcp_trace::{BbvBuilder, BbvTrace, BranchEvent, IntervalSink, IntervalSummary};
 
 use crate::classify::ClassifiedRun;
@@ -229,8 +231,8 @@ impl IntervalSink for ClassifierLane {
 /// A raw lane: an [`IntervalSink`] that can be finalized after the sweep.
 pub(crate) trait ErasedLane: IntervalSink + Send {
     fn finish(self: Box<Self>);
-    /// A hook that fails the lane's result cell if it is still unset.
-    fn failure_handle(&self) -> FailureHandle;
+    /// Appends hooks that fail the lane's result cells if still unset.
+    fn collect_failure_handles(&self, out: &mut Vec<FailureHandle>);
 }
 
 /// A typed raw sink plus the reduction that fills its [`Pending`] cell.
@@ -251,6 +253,10 @@ impl<S: IntervalSink, R, F> IntervalSink for RawProbe<S, R, F> {
         self.sink.observe(ev);
     }
 
+    fn observe_batch(&mut self, events: &[BranchEvent]) {
+        self.sink.observe_batch(events);
+    }
+
     fn end_interval(&mut self, summary: &IntervalSummary) {
         self.sink.end_interval(summary);
     }
@@ -267,8 +273,90 @@ where
         this.cell.set((this.reduce)(this.sink));
     }
 
+    fn collect_failure_handles(&self, out: &mut Vec<FailureHandle>) {
+        out.push(self.cell.failure_handle());
+    }
+}
+
+/// One trace's basic block vectors and their default-configuration
+/// SimPoint clustering: what every
+/// [`Engine::simpoint`](crate::Engine::simpoint) registration reduces.
+#[derive(Debug, Clone)]
+pub struct SimPointRun {
+    /// Per-interval BBVs and summaries, in execution order.
+    pub bbvs: BbvTrace,
+    /// The [`SimPointConfig::default`] clustering of `bbvs`.
+    pub clustering: SimPointResult,
+}
+
+/// A group's one BBV collection and SimPoint clustering, shared the way
+/// repeat `classified` registrations share a classifier lane: one sink,
+/// one clustering after the replay, then one reduction into its own cell
+/// per registration, all on the sweep worker.
+#[derive(Default)]
+pub(crate) struct SimPointLane {
+    bbvs: BbvSink,
+    reductions: Vec<Box<dyn SimPointReduction>>,
+}
+
+impl SimPointLane {
+    /// Adds a registration: `reduce` turns the shared run into its cell.
+    pub(crate) fn register<R, F>(&mut self, reduce: F) -> Pending<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&SimPointRun) -> R + Send + 'static,
+    {
+        let cell = Pending::new();
+        self.reductions.push(Box::new((reduce, cell.clone())));
+        cell
+    }
+}
+
+impl IntervalSink for SimPointLane {
+    fn observe(&mut self, ev: &BranchEvent) {
+        self.bbvs.observe(ev);
+    }
+
+    fn end_interval(&mut self, summary: &IntervalSummary) {
+        self.bbvs.end_interval(summary);
+    }
+}
+
+impl ErasedLane for SimPointLane {
+    fn finish(self: Box<Self>) {
+        let this = *self;
+        let bbvs = this.bbvs.into_trace();
+        let clustering = SimPointClassifier::new(SimPointConfig::default()).classify(&bbvs);
+        let run = SimPointRun { bbvs, clustering };
+        for reduction in this.reductions {
+            reduction.finish(&run);
+        }
+    }
+
+    fn collect_failure_handles(&self, out: &mut Vec<FailureHandle>) {
+        out.extend(self.reductions.iter().map(|r| r.failure_handle()));
+    }
+}
+
+/// One [`SimPointLane`] registration, type-erased: its reduction and the
+/// cell it fills.
+trait SimPointReduction: Send {
+    fn finish(self: Box<Self>, run: &SimPointRun);
+    fn failure_handle(&self) -> FailureHandle;
+}
+
+impl<R, F> SimPointReduction for (F, Pending<R>)
+where
+    R: Send + 'static,
+    F: FnOnce(&SimPointRun) -> R + Send + 'static,
+{
+    fn finish(self: Box<Self>, run: &SimPointRun) {
+        let (reduce, cell) = *self;
+        cell.set(reduce(run));
+    }
+
     fn failure_handle(&self) -> FailureHandle {
-        self.cell.failure_handle()
+        self.1.failure_handle()
     }
 }
 

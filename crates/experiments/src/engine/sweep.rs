@@ -10,17 +10,23 @@
 //!
 //! **Level 2 — lanes.** Inside a group, classifier lanes do not each
 //! re-run the per-branch feature extraction. A shared front-end keeps one
-//! [`AnyExtractor`] per *distinct extractor shape* — the `(kind, dims)`
-//! pair of feature back-end and signature dimensionality — among the
-//! group's lanes and hands every lane the finished extractor snapshot at
-//! each interval boundary ([`ClassifierLane::end_interval_shared`]),
-//! turning O(lanes × events) hashing into O(distinct_shapes × events +
-//! lanes × intervals). When the pool has spare workers beyond the group
+//! [`AnyExtractor`] per [`ExtractorKind`] among the group's lanes, sized
+//! to the widest dims that kind's lanes ask for, and only those observe
+//! events. At each interval boundary it folds each into every narrower
+//! shape its lanes need ([`AnyExtractor::fold_into`]) and hands every lane
+//! the finished extractor of its shape
+//! ([`ClassifierLane::end_interval_shared`]), turning O(lanes × events)
+//! hashing into O(kinds × events + lanes × intervals). The fold is exact:
+//! every back-end buckets by `mix64(key) & (n − 1)`, so bucket `j` of a
+//! narrow table gathers the wide buckets `i ≡ j (mod n)`, and a chain of
+//! saturating adds of non-negative values equals one clamp of their sum.
+//! When the pool has spare workers beyond the group
 //! count, wide groups additionally shard their lanes across those
 //! workers: the replaying thread broadcasts an [`Arc`]'d per-interval
 //! snapshot over bounded channels and each shard thread classifies its
 //! own lanes. Raw (unclassified) sinks always stay inline with the
-//! replay.
+//! replay. [`drive`] decodes each interval once into a reused buffer and
+//! hands every sink the whole slice.
 //!
 //! Output is deterministic under any scheduling: every lane lives on
 //! exactly one thread, snapshots arrive in interval order through its
@@ -369,10 +375,10 @@ impl ReplayCtx<'_> {
     }
 }
 
-/// A classifier lane paired with the index of the shared extractor
-/// (keyed by distinct extractor shape) it reads snapshots from, plus
-/// its pre-sized telemetry slot — bumped inline at each boundary,
-/// flushed into the group collector once when the lane retires.
+/// A classifier lane paired with the index of the front-end extractor
+/// of its shape it reads at each boundary, plus its pre-sized telemetry
+/// slot — bumped inline at each boundary, flushed into the group
+/// collector once when the lane retires.
 struct KeyedLane {
     acc: usize,
     lane: ClassifierLane,
@@ -388,35 +394,90 @@ impl KeyedLane {
     }
 }
 
-/// Groups a trace group's classifier lanes by extractor shape — the
-/// `(kind, dims)` pair: returns one extractor per distinct shape plus
-/// each lane tagged with its extractor's index. Lanes that differ only
-/// in classification parameters (thresholds, table size, bit selection)
-/// share one per-branch extraction pass.
-fn keyed_lanes(lanes: Vec<ClassifierLane>) -> (Vec<AnyExtractor>, Vec<KeyedLane>) {
-    let mut shapes: Vec<(ExtractorKind, usize)> = Vec::new();
+/// A group's shared accumulation front-end. One extractor per
+/// [`ExtractorKind`], at the widest dims that kind's lanes ask for,
+/// observes every event; each narrower shape is refilled from it by an
+/// exact fold ([`AnyExtractor::fold_into`]) at every interval boundary.
+struct FrontEnd {
+    /// `accs[..observers]` observe events, one per kind; the rest are the
+    /// narrower shapes, overwritten whole by each boundary's fold.
+    accs: Vec<AnyExtractor>,
+    observers: usize,
+    /// `(observer, folded)` index pairs into `accs`.
+    folds: Vec<(usize, usize)>,
+}
+
+impl FrontEnd {
+    /// Feeds one interval's events to each kind's extractor: one `match`
+    /// per kind per slice.
+    fn observe_batch(&mut self, events: &[BranchEvent]) {
+        for acc in &mut self.accs[..self.observers] {
+            acc.observe_batch(events);
+        }
+    }
+
+    /// Closes the interval's accumulation: folds every narrower shape
+    /// from its kind's extractor.
+    fn fold(&mut self) {
+        let (wide, narrow) = self.accs.split_at_mut(self.observers);
+        for &(from, to) in &self.folds {
+            wide[from].fold_into(&mut narrow[to - self.observers]);
+        }
+    }
+
+    /// Clears the observing extractors for the next interval.
+    fn reset(&mut self) {
+        for acc in &mut self.accs[..self.observers] {
+            acc.reset();
+        }
+    }
+}
+
+/// Builds a trace group's [`FrontEnd`] and tags each lane with the index
+/// of its shape's extractor. Lanes that differ only in classification
+/// parameters (thresholds, table size, bit selection) read one extractor,
+/// and lanes of one kind share one per-branch extraction pass whatever
+/// their dims.
+fn keyed_lanes(lanes: Vec<ClassifierLane>) -> (FrontEnd, Vec<KeyedLane>) {
+    let mut widest: Vec<(ExtractorKind, usize)> = Vec::new();
+    for lane in &lanes {
+        let (kind, dims) = lane.extractor_shape();
+        match widest.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, w)) => *w = (*w).max(dims),
+            None => widest.push((kind, dims)),
+        }
+    }
+    let observers = widest.len();
+    let mut shapes = widest;
+    let mut folds = Vec::new();
     let keyed = lanes
         .into_iter()
         .map(|lane| {
             let shape = lane.extractor_shape();
-            let idx = shapes.iter().position(|&s| s == shape).unwrap_or_else(|| {
+            let acc = shapes.iter().position(|&s| s == shape).unwrap_or_else(|| {
+                // A narrower shape, folded from its kind's observer (the
+                // first `observers` shapes hold one of each kind).
+                let from = shapes.iter().take_while(|&&(k, _)| k != shape.0).count();
                 shapes.push(shape);
+                folds.push((from, shapes.len() - 1));
                 shapes.len() - 1
             });
             KeyedLane {
-                acc: idx,
+                acc,
                 lane,
                 slot: LaneSlot::default(),
             }
         })
         .collect();
-    (
-        shapes
+    let front = FrontEnd {
+        accs: shapes
             .into_iter()
             .map(|(kind, dims)| kind.build(dims))
             .collect(),
-        keyed,
-    )
+        observers,
+        folds,
+    };
+    (front, keyed)
 }
 
 /// Runs one interval boundary over `lanes` with per-lane panic isolation:
@@ -460,14 +521,14 @@ fn end_interval_isolated(
     prev
 }
 
-/// The inline shared-accumulation front-end: one extractor per distinct
-/// shape, every lane classified on the replay thread at each boundary.
+/// The inline shared-accumulation front-end: every lane classified on
+/// the replay thread at each boundary.
 ///
 /// `window` is the telemetry mark of the previous boundary's end (or the
 /// replay's start): the span up to the next boundary is the fused
-/// decode + accumulate stage.
+/// decode + accumulate stage, the fold included.
 struct SharedFrontEnd<'a> {
-    accs: Vec<AnyExtractor>,
+    front: FrontEnd,
     lanes: Vec<KeyedLane>,
     ctx: &'a ReplayCtx<'a>,
     window: Option<Instant>,
@@ -475,18 +536,25 @@ struct SharedFrontEnd<'a> {
 
 impl IntervalSink for SharedFrontEnd<'_> {
     fn observe(&mut self, ev: &BranchEvent) {
-        for acc in &mut self.accs {
-            acc.observe(*ev);
-        }
+        self.front.observe_batch(std::slice::from_ref(ev));
+    }
+
+    fn observe_batch(&mut self, events: &[BranchEvent]) {
+        self.front.observe_batch(events);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
+        self.front.fold();
         let boundary = self.ctx.collector.mark();
         self.ctx.collector.close_window(self.window, boundary);
-        let end = end_interval_isolated(&mut self.lanes, &self.accs, summary, self.ctx, boundary);
-        for acc in &mut self.accs {
-            acc.reset();
-        }
+        let end = end_interval_isolated(
+            &mut self.lanes,
+            &self.front.accs,
+            summary,
+            self.ctx,
+            boundary,
+        );
+        self.front.reset();
         // The last lane's end mark doubles as the next window's start;
         // the extractor reset is billed to decode + accumulate.
         self.window = end;
@@ -506,7 +574,7 @@ struct Snapshot {
 /// The send loop is timed separately — time spent blocked on a full
 /// bounded channel is shard backpressure, not decode work.
 struct BroadcastFrontEnd<'a> {
-    accs: Vec<AnyExtractor>,
+    front: FrontEnd,
     senders: Vec<mpsc::SyncSender<Arc<Snapshot>>>,
     collector: &'a GroupCollector,
     window: Option<Instant>,
@@ -514,16 +582,19 @@ struct BroadcastFrontEnd<'a> {
 
 impl IntervalSink for BroadcastFrontEnd<'_> {
     fn observe(&mut self, ev: &BranchEvent) {
-        for acc in &mut self.accs {
-            acc.observe(*ev);
-        }
+        self.front.observe_batch(std::slice::from_ref(ev));
+    }
+
+    fn observe_batch(&mut self, events: &[BranchEvent]) {
+        self.front.observe_batch(events);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
+        self.front.fold();
         let boundary = self.collector.mark();
         self.collector.close_window(self.window, boundary);
         let snap = Arc::new(Snapshot {
-            accs: self.accs.clone(),
+            accs: self.front.accs.clone(),
             summary: *summary,
         });
         let wait = self.collector.mark();
@@ -538,9 +609,7 @@ impl IntervalSink for BroadcastFrontEnd<'_> {
         }
         let sent = self.collector.mark();
         self.collector.add_shard_wait(span_ns(wait, sent));
-        for acc in &mut self.accs {
-            acc.reset();
-        }
+        self.front.reset();
         // Reuse the post-send mark as the next window's start.
         self.window = sent;
     }
@@ -570,6 +639,13 @@ impl IntervalSource for GroupReplay<'_> {
         match self {
             Self::Full(d) => d.next_interval(on_event),
             Self::Planned(p) => p.next_interval(on_event),
+        }
+    }
+
+    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
+        match self {
+            Self::Full(d) => d.next_interval_into(events),
+            Self::Planned(p) => p.next_interval_into(events),
         }
     }
 }
@@ -622,7 +698,10 @@ fn replay_group(
             Err(e) => return Err(FailureCause::Plan(e)),
         }
     };
-    let (accs, keyed) = keyed_lanes(std::mem::take(&mut group.lanes));
+    let (front, keyed) = keyed_lanes(std::mem::take(&mut group.lanes));
+    if let Some(simpoint) = group.simpoint.take() {
+        group.raw.push(Box::new(simpoint));
+    }
     let shards = lane_budget.min(keyed.len() / MIN_LANES_PER_SHARD);
     let sharded = shards >= 2;
 
@@ -635,7 +714,7 @@ fn replay_group(
         // failure.
         std::thread::scope(|scope| {
             let mut front = BroadcastFrontEnd {
-                accs,
+                front,
                 senders: Vec::with_capacity(shards),
                 collector: ctx.collector,
                 window: ctx.collector.mark(),
@@ -684,7 +763,7 @@ fn replay_group(
         })
     } else {
         let mut front = SharedFrontEnd {
-            accs,
+            front,
             lanes: keyed,
             ctx,
             window: ctx.collector.mark(),
@@ -721,4 +800,52 @@ fn replay_group(
     }
     ctx.collector.add_finish(elapsed_ns(mark));
     Ok((intervals, if sharded { shards } else { 0 }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpcp_core::ClassifierConfig;
+
+    fn lane(kind: ExtractorKind, dims: usize, entries: usize) -> ClassifierLane {
+        ClassifierLane::new(
+            ClassifierConfig::builder()
+                .extractor(kind)
+                .accumulators(dims)
+                .table_entries(Some(entries))
+                .build(),
+        )
+    }
+
+    /// The six shapes a default-parameters trace group carries — BBV at
+    /// 8/16/32/64 dims, working-set and branch-mix at 16 — build exactly
+    /// three extractors that observe events, one per kind at its widest
+    /// dims; the three narrower BBV shapes are folds of the BBV one, and
+    /// every lane reads an extractor of its own shape.
+    #[test]
+    fn mixed_width_group_builds_one_extractor_per_kind() {
+        use ExtractorKind::{Bbv, BranchMix, WorkingSet};
+        let lanes = vec![
+            lane(Bbv, 16, 32),
+            lane(Bbv, 8, 32),
+            lane(WorkingSet, 16, 32),
+            lane(Bbv, 64, 32),
+            lane(BranchMix, 16, 32),
+            lane(Bbv, 32, 32),
+            lane(Bbv, 16, 8),
+        ];
+        let (front, keyed) = keyed_lanes(lanes);
+        let shapes: Vec<_> = front.accs.iter().map(|a| (a.kind(), a.dims())).collect();
+        assert_eq!(front.observers, 3);
+        assert_eq!(
+            shapes[..front.observers],
+            [(Bbv, 64), (WorkingSet, 16), (BranchMix, 16)]
+        );
+        assert_eq!(shapes[front.observers..], [(Bbv, 16), (Bbv, 8), (Bbv, 32)]);
+        assert_eq!(front.folds, [(0, 3), (0, 4), (0, 5)]);
+        assert_eq!(keyed.len(), 7);
+        for k in &keyed {
+            assert_eq!(shapes[k.acc], k.lane.extractor_shape());
+        }
+    }
 }

@@ -39,8 +39,9 @@ fn config_for(kind: ExtractorKind) -> ClassifierConfig {
 /// Registers the comparison's classifications on `engine`; the returned
 /// closure renders the three panels once the engine has run. All three
 /// lanes of a benchmark join one trace group, so the engine replays each
-/// trace once and shares nothing *across* extractors — each `(kind,
-/// dims)` shape gets its own front-end.
+/// trace once and shares nothing *across* extractors — each kind gets its
+/// own front-end, which also serves (by folding) any narrower lanes of
+/// that kind other figures put in the group.
 pub fn register(engine: &mut Engine) -> PendingTables {
     let cells: Vec<Vec<_>> = benchmarks()
         .iter()

@@ -6,15 +6,16 @@
 //! algorithm used in SimPoint". This experiment classifies each benchmark
 //! both ways and tabulates CoV and phase counts side by side. Both
 //! classifications ride the same single replay: the online classifier as
-//! an engine lane, the BBV collection (SimPoint's input) as a raw sink,
-//! with the offline clustering running in the sink's reduction so it stays
+//! an engine lane, the BBV collection (SimPoint's input) and its
+//! clustering as the group's one shared SimPoint registration
+//! ([`Engine::simpoint`]), reduced on the sweep worker so it stays
 //! parallel across benchmarks.
 
 use tpcp_core::PhaseId;
 use tpcp_metrics::CovAccumulator;
-use tpcp_simpoint::{SimPointClassifier, SimPointConfig};
+use tpcp_simpoint::{RandomProjection, SimPointConfig, SimPoints};
 
-use crate::engine::{BbvSink, Engine, PendingTables};
+use crate::engine::{Engine, PendingTables, SimPointRun};
 use crate::figures::benchmarks;
 use crate::figures::fig7::section5_classifier;
 use crate::report::{pct, Table};
@@ -23,21 +24,9 @@ use crate::suite::{SuiteParams, TraceCache};
 /// Registers the SimPoint estimation experiment (see [`estimate`]); the
 /// returned closure renders its table once the engine has run.
 pub fn register_estimate(engine: &mut Engine) -> PendingTables {
-    use tpcp_simpoint::{RandomProjection, SimPoints};
     let cells: Vec<_> = benchmarks()
         .iter()
-        .map(|&kind| {
-            engine.interval_sink(kind, BbvSink::new(), |sink| {
-                let bbvs = sink.into_trace();
-                let cfg = SimPointConfig::default();
-                let result = SimPointClassifier::new(cfg).classify(&bbvs);
-                let projection = RandomProjection::new(cfg.projected_dims, cfg.seed);
-                let points = SimPoints::select(&bbvs, &result, &projection);
-                let truth = SimPoints::true_cpi(&bbvs);
-                let estimated = points.estimate_cpi(&bbvs);
-                (points.points.len(), truth, estimated)
-            })
-        })
+        .map(|&kind| engine.simpoint(kind, point_estimate))
         .collect();
 
     Box::new(move || {
@@ -52,7 +41,7 @@ pub fn register_estimate(engine: &mut Engine) -> PendingTables {
             ],
         );
         for (kind, cell) in benchmarks().iter().zip(&cells) {
-            let (points, truth, estimated) = cell.take();
+            let (truth, estimated, points) = cell.take();
             let error = if truth == 0.0 {
                 0.0
             } else {
@@ -70,6 +59,19 @@ pub fn register_estimate(engine: &mut Engine) -> PendingTables {
     })
 }
 
+/// SimPoint's whole-program CPI estimate from the run's default
+/// clustering: `(true CPI, estimated CPI, simulation points)`.
+fn point_estimate(run: &SimPointRun) -> (f64, f64, usize) {
+    let cfg = SimPointConfig::default();
+    let projection = RandomProjection::new(cfg.projected_dims, cfg.seed);
+    let points = SimPoints::select(&run.bbvs, &run.clustering, &projection);
+    (
+        SimPoints::true_cpi(&run.bbvs),
+        points.estimate_cpi(&run.bbvs),
+        points.points.len(),
+    )
+}
+
 /// The SimPoint use case end-to-end: pick weighted simulation points per
 /// benchmark and compare the CPI estimated from the points alone against
 /// the true whole-program CPI.
@@ -84,8 +86,8 @@ pub fn estimate(cache: &TraceCache, params: &SuiteParams) -> Vec<Table> {
 /// vs. two-phase stratified sampled replay, on every benchmark.
 ///
 /// Pass 1 replays every trace once (the cheap pass): an online
-/// classifier lane yields per-interval phase ids and CPIs, and a BBV
-/// sink feeds the classic SimPoint baseline. Phases become sampling
+/// classifier lane yields per-interval phase ids and CPIs, and the
+/// group's SimPoint registration yields the classic SimPoint baseline. Phases become sampling
 /// strata; a [`StratifiedPlan`](tpcp_simpoint::StratifiedPlan) (Neyman
 /// allocation, deterministic
 /// systematic selection) picks ~1/8 of the intervals. Pass 2 replays
@@ -106,27 +108,17 @@ pub fn run_sampling(
     cache: &TraceCache,
     params: &SuiteParams,
 ) -> (Vec<Table>, crate::TelemetrySnapshot) {
-    use tpcp_simpoint::{RandomProjection, SimPoints, StratifiedConfig, StratifiedPlan};
+    use tpcp_simpoint::{StratifiedConfig, StratifiedPlan};
 
     // Pass 1 (cheap): one full replay per benchmark — phase ids + CPIs
-    // from the classifier lane, the SimPoint baseline from the BBV sink.
+    // from the classifier lane, the SimPoint baseline from the group's
+    // SimPoint registration.
     let mut pass1 = Engine::new(*params);
     let cells: Vec<_> = benchmarks()
         .iter()
         .map(|&kind| {
             let run = pass1.classified(kind, section5_classifier());
-            let baseline = pass1.interval_sink(kind, BbvSink::new(), |sink| {
-                let bbvs = sink.into_trace();
-                let cfg = SimPointConfig::default();
-                let result = SimPointClassifier::new(cfg).classify(&bbvs);
-                let projection = RandomProjection::new(cfg.projected_dims, cfg.seed);
-                let points = SimPoints::select(&bbvs, &result, &projection);
-                (
-                    SimPoints::true_cpi(&bbvs),
-                    points.estimate_cpi(&bbvs),
-                    points.points.len(),
-                )
-            });
+            let baseline = pass1.simpoint(kind, point_estimate);
             (kind, run, baseline)
         })
         .collect();
@@ -250,16 +242,15 @@ pub fn register(engine: &mut Engine) -> PendingTables {
         .iter()
         .map(|&kind| {
             let online = engine.classified(kind, section5_classifier());
-            let offline = engine.interval_sink(kind, BbvSink::new(), |sink| {
-                let bbvs = sink.into_trace();
-                let offline = SimPointClassifier::new(SimPointConfig::default()).classify(&bbvs);
+            let offline = engine.simpoint(kind, |run| {
                 let mut cov = CovAccumulator::new();
-                for (cluster, summary) in offline.assignments.iter().zip(&bbvs.summaries) {
+                for (cluster, summary) in run.clustering.assignments.iter().zip(&run.bbvs.summaries)
+                {
                     // Offline clusters have no transition phase; use IDs >= 1 so
                     // none is excluded from the weighted CoV.
                     cov.observe(PhaseId::new(*cluster as u32 + 1), summary.cpi());
                 }
-                (cov.finish(), offline.k)
+                (cov.finish(), run.clustering.k)
             });
             (online, offline)
         })

@@ -28,8 +28,8 @@ pub mod suite;
 pub use classify::{run_classifier, ClassifiedRun};
 pub use engine::{
     BbvSink, CacheCounters, Engine, EngineError, EngineStats, FailureCause, FailureReport,
-    GroupTelemetry, LaneFailure, LaneTelemetry, Pending, PendingTables, StageNanos, SweepError,
-    TelemetrySnapshot,
+    GroupTelemetry, LaneFailure, LaneTelemetry, Pending, PendingTables, SimPointRun, StageNanos,
+    SweepError, TelemetrySnapshot,
 };
 pub use report::Table;
 pub use suite::{CacheError, CacheLoad, SuiteParams, TraceCache};

@@ -372,6 +372,80 @@ fn panicking_reduction_is_a_structured_group_failure() {
     assert!(unaffected.try_take().is_ok());
 }
 
+/// Repeat `simpoint` registrations on one trace share one BBV collection
+/// and one clustering, and both equal the serial reference: the trace's
+/// collected BBVs and their default SimPoint clustering. Sharing shows in
+/// the BBV buffer's address: separate collections would both be alive at
+/// the end of the replay, so their buffers could not share one.
+#[test]
+fn simpoint_registrations_share_one_serial_equal_run() {
+    use tpcp_simpoint::{SimPointClassifier, SimPointConfig};
+    use tpcp_trace::BbvTrace;
+
+    let cache = test_cache();
+    let params = SuiteParams::quick();
+    let kind = BenchmarkKind::GzipGraphic;
+    let mut engine = Engine::new(params);
+    let lane = engine.classified(kind, ClassifierConfig::hpca2005());
+    let first = engine.simpoint(kind, |run| {
+        (run.bbvs.vectors.as_ptr() as usize, run.bbvs.clone())
+    });
+    let second = engine.simpoint(kind, |run| {
+        (run.bbvs.vectors.as_ptr() as usize, run.clustering.clone())
+    });
+    let stats = engine.run(&cache);
+    assert!(
+        stats.failure_report().is_empty(),
+        "{:?}",
+        stats.failure_report()
+    );
+    assert_eq!(stats.max_replays_per_trace(), 1);
+
+    let (first_buf, bbvs) = first.take();
+    let (second_buf, clustering) = second.take();
+    assert_eq!(first_buf, second_buf, "registrations must share one run");
+    let trace = cache.load_or_simulate(kind, &params);
+    let want = BbvTrace::collect(trace.replay());
+    assert_eq!(bbvs.vectors, want.vectors);
+    assert_eq!(bbvs.summaries, want.summaries);
+    assert_eq!(
+        clustering,
+        SimPointClassifier::new(SimPointConfig::default()).classify(&want)
+    );
+    assert_eq!(
+        lane.take(),
+        run_classifier(&trace, ClassifierConfig::hpca2005())
+    );
+}
+
+/// A `simpoint` reduction that panics fails its group, and every other
+/// registration on the shared run resolves to that failure too (the
+/// panicking one runs first, so the second never gets its value).
+#[test]
+fn panicking_simpoint_reduction_fails_every_registration_on_its_run() {
+    let cache = test_cache();
+    let config = ClassifierConfig::hpca2005();
+    let mut engine = Engine::new(SuiteParams::quick());
+    let doomed = engine.simpoint(BenchmarkKind::Mcf, |_| -> usize {
+        panic!("injected reduction bug")
+    });
+    let sibling = engine.simpoint(BenchmarkKind::Mcf, |run| run.clustering.k);
+    let unaffected = engine.simpoint(BenchmarkKind::GzipGraphic, |run| run.clustering.k);
+    let lane = engine.classified(BenchmarkKind::GzipGraphic, config);
+    let stats = engine.run(&cache);
+
+    let failures = stats.failure_report().failures();
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    for cell in [doomed, sibling] {
+        assert!(matches!(
+            cell.try_take(),
+            Err(EngineError::Sweep(SweepError::Group { .. }))
+        ));
+    }
+    assert!(unaffected.try_take().is_ok());
+    assert!(lane.try_take().is_ok());
+}
+
 /// Telemetry collection never feeds back into classification: the same
 /// registrations with collection on and off produce bit-identical
 /// `ClassifiedRun`s, and only the snapshot differs (populated vs empty).
@@ -696,23 +770,31 @@ fn mid_sweep_cancel_finishes_claimed_group_and_cancels_the_rest() {
 mod randomized {
     use super::*;
     use proptest::prelude::*;
+    use tpcp_core::ExtractorKind;
 
     fn arb_config() -> impl Strategy<Value = ClassifierConfig> {
-        (0usize..3, 1usize..40, any::<bool>(), any::<bool>()).prop_map(
-            |(acc_idx, entries, best_match, unbounded)| {
+        (
+            (0usize..3, 1u32..7),
+            1usize..40,
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|((kind, log_dims), entries, best_match, unbounded)| {
                 ClassifierConfig::builder()
-                    .accumulators([16, 32, 64][acc_idx])
+                    .extractor(ExtractorKind::ALL[kind])
+                    .accumulators(1 << log_dims)
                     .table_entries((!unbounded).then_some(entries))
                     .best_match(best_match)
                     .build()
-            },
-        )
+            })
     }
 
     proptest! {
-        /// Randomized lane mixes (counts, table capacities, match
-        /// policies) swept through the shared front-end match the serial
-        /// reference classifier on every lane.
+        /// Randomized lane mixes (extractor kinds, dims from 2 to 64,
+        /// table capacities, match policies) swept through the shared
+        /// front-end — so one group often folds several widths of one
+        /// kind from its widest table — match the serial reference
+        /// classifier on every lane.
         #[test]
         fn randomized_configs_match_serial_reference(
             configs in prop::collection::vec(arb_config(), 1..6),

@@ -5,9 +5,10 @@
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use tpcp_serve::client::{drive_sessions, no_faults, run_session, SessionScript};
+use tpcp_serve::client::{drive_sessions, no_faults, run_session, SessionScript, TransportAction};
 use tpcp_serve::protocol::{QueryKind, Request, Response, WireExtractor};
 use tpcp_serve::server::{ServeConfig, Server, ServerHandle};
 use tpcp_trace::{FrameReader, FrameWriter};
@@ -550,6 +551,12 @@ fn tcp_accept_failures_do_not_stall_the_unix_listener() {
 /// A many-worker, many-shard server that evicts constantly and a
 /// one-worker, one-shard server that never evicts must be observably the
 /// same protocol machine: identical scripts, bit-identical transcripts.
+///
+/// Every session says `Hello` (frame 0) and then waits at a barrier until
+/// all nine have, before sending its first `Events` (frame 1). So all
+/// nine sessions are open at once whatever the thread scheduling: over 8
+/// shards two of them share a shard, and that shard's one live slot
+/// (`div_ceil(3, 8)`) must evict.
 #[test]
 fn sharded_evicting_pool_matches_single_shard_server() {
     let scripts: Vec<SessionScript> = (1..=9).map(|s| SessionScript::for_session(s, 6)).collect();
@@ -560,7 +567,14 @@ fn sharded_evicting_pool_matches_single_shard_server() {
         config.shards = shards;
         config.max_live = max_live;
         let (handle, addr) = spawn(config);
-        let transcripts: Vec<_> = drive_sessions(addr, &scripts, &no_faults, STALL_HOLD)
+        let all_open = Barrier::new(scripts.len());
+        let after_hello = |_session: &str, frame: u64| {
+            if frame == 1 {
+                all_open.wait();
+            }
+            TransportAction::Send
+        };
+        let transcripts: Vec<_> = drive_sessions(addr, &scripts, &after_hello, STALL_HOLD)
             .into_iter()
             .map(|r| r.expect("fault-free session must succeed"))
             .collect();

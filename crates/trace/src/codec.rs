@@ -23,8 +23,8 @@
 //! - [`decode_trace`] materializes the whole buffer into a
 //!   [`RecordedTrace`] (archival, tooling, tests).
 //! - [`StreamingDecoder`] yields one interval at a time straight off the
-//!   borrowed buffer — no per-interval `Vec` is built unless the caller
-//!   asks for one — and implements
+//!   borrowed buffer — into the caller's callback, or into one buffer
+//!   reused across intervals — and implements
 //!   [`IntervalSource`](crate::IntervalSource), so a trace replays through
 //!   [`drive`](crate::drive) without ever being materialized. This is the
 //!   hot path of the experiment engine.
@@ -703,8 +703,9 @@ impl<'a> StreamingDecoder<'a> {
 
     /// [`try_next_interval`](Self::try_next_interval) with a statically
     /// dispatched callback. Single-consumer hot loops (the perf harness,
-    /// eager decode) get the event delivery inlined; multi-sink fan-out
-    /// goes through the `dyn` wrapper above.
+    /// eager decode, and the buffer fill [`drive`](crate::drive) replays
+    /// through) get the event delivery inlined; the `dyn` wrapper above
+    /// serves [`IntervalSource::next_interval`] callers.
     ///
     /// # Errors
     ///
@@ -745,6 +746,19 @@ impl<'a> StreamingDecoder<'a> {
         ))
     }
 
+    /// Decodes the next interval into `events` (cleared first) through the
+    /// statically dispatched path: the one buffer-filling decode, behind
+    /// both [`next_interval_buffered`](Self::next_interval_buffered) and
+    /// the [`IntervalSource::next_interval_into`] override that
+    /// [`drive`](crate::drive) replays through.
+    pub(crate) fn try_next_interval_into(
+        &mut self,
+        events: &mut Vec<BranchEvent>,
+    ) -> Result<Option<IntervalSummary>, CodecError> {
+        events.clear();
+        self.try_next_interval_with(&mut |ev| events.push(ev))
+    }
+
     /// Decodes the next interval into an internal scratch buffer that is
     /// reused across calls, returning the events as a slice alongside the
     /// summary. One allocation amortized over the whole trace, regardless
@@ -758,29 +772,34 @@ impl<'a> StreamingDecoder<'a> {
         &mut self,
     ) -> Result<Option<(&[BranchEvent], IntervalSummary)>, CodecError> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let result = self.try_next_interval(&mut |ev| scratch.push(ev));
+        let result = self.try_next_interval_into(&mut scratch);
         self.scratch = scratch;
-        match result {
-            Ok(Some(summary)) => Ok(Some((&self.scratch, summary))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(e),
+        Ok(result?.map(|summary| (self.scratch.as_slice(), summary)))
+    }
+
+    /// One [`IntervalSource`]-mode step: a stored decode error ends the
+    /// stream, and a new one is stored instead of returned.
+    fn sticky(
+        &mut self,
+        step: impl FnOnce(&mut Self) -> Result<Option<IntervalSummary>, CodecError>,
+    ) -> Option<IntervalSummary> {
+        if self.error.is_some() {
+            return None;
         }
+        step(self).unwrap_or_else(|e| {
+            self.error = Some(e);
+            None
+        })
     }
 }
 
 impl IntervalSource for StreamingDecoder<'_> {
     fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.try_next_interval(on_event) {
-            Ok(summary) => summary,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
+        self.sticky(|d| d.try_next_interval(on_event))
+    }
+
+    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
+        self.sticky(|d| d.try_next_interval_into(events))
     }
 }
 

@@ -622,8 +622,13 @@ impl<'a> PlannedReplay<'a> {
     }
 }
 
-impl IntervalSource for PlannedReplay<'_> {
-    fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary> {
+impl<'a> PlannedReplay<'a> {
+    /// One planned step: seeks across the gap before the next planned
+    /// interval if there is one, then decodes that interval with `decode`.
+    fn advance(
+        &mut self,
+        decode: impl FnOnce(&mut StreamingDecoder<'a>) -> Result<Option<IntervalSummary>, CodecError>,
+    ) -> Option<IntervalSummary> {
         if self.error.is_some() {
             return None;
         }
@@ -636,7 +641,7 @@ impl IntervalSource for PlannedReplay<'_> {
                 return None;
             }
         }
-        match self.decoder.try_next_interval(on_event) {
+        match decode(&mut self.decoder) {
             Ok(Some(summary)) => {
                 if self.decoder.intervals_decoded() >= end {
                     self.cur += 1;
@@ -649,6 +654,16 @@ impl IntervalSource for PlannedReplay<'_> {
                 None
             }
         }
+    }
+}
+
+impl IntervalSource for PlannedReplay<'_> {
+    fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary> {
+        self.advance(|d| d.try_next_interval(on_event))
+    }
+
+    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
+        self.advance(|d| d.try_next_interval_into(events))
     }
 }
 

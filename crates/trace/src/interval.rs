@@ -94,6 +94,18 @@ pub trait IntervalSource {
     /// finished; after `None`, subsequent calls must keep returning `None`.
     fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary>;
 
+    /// Advances to the next interval like
+    /// [`next_interval`](Self::next_interval), but collects its events into
+    /// `events` (cleared first) instead of calling back once per event.
+    /// [`drive`](crate::drive) replays through this, so each interval is
+    /// decoded once into one reused buffer and every sink takes the whole
+    /// slice. The default collects through `next_interval`; decoders
+    /// override it with a statically dispatched fill.
+    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
+        events.clear();
+        self.next_interval(&mut |ev| events.push(ev))
+    }
+
     /// Runs the source to completion, discarding events, and returns all
     /// interval summaries. Convenient for tests and whole-program statistics.
     fn drain_summaries(&mut self) -> Vec<IntervalSummary>
@@ -112,11 +124,19 @@ impl<T: IntervalSource + ?Sized> IntervalSource for &mut T {
     fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary> {
         (**self).next_interval(on_event)
     }
+
+    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
+        (**self).next_interval_into(events)
+    }
 }
 
 impl<T: IntervalSource + ?Sized> IntervalSource for Box<T> {
     fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary> {
         (**self).next_interval(on_event)
+    }
+
+    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
+        (**self).next_interval_into(events)
     }
 }
 

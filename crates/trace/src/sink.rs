@@ -12,14 +12,26 @@ use crate::interval::{IntervalSource, IntervalSummary};
 
 /// A consumer of an interval-structured event stream.
 ///
-/// For each interval, [`observe`](IntervalSink::observe) is called once per
-/// committed-branch event, then [`end_interval`](IntervalSink::end_interval)
-/// once with the interval's summary. This mirrors the paper's hardware
+/// For each interval, every committed-branch event is observed in program
+/// order, through [`observe`](IntervalSink::observe) or a run of them at a
+/// time through [`observe_batch`](IntervalSink::observe_batch), then
+/// [`end_interval`](IntervalSink::end_interval) is called once with the
+/// interval's summary. This mirrors the paper's hardware
 /// model: per-branch accumulation during the interval, bookkeeping at the
 /// interval boundary.
 pub trait IntervalSink {
     /// Observes one committed-branch event of the current interval.
     fn observe(&mut self, ev: &BranchEvent);
+
+    /// Observes a run of the current interval's events in program order:
+    /// the same as calling [`observe`](IntervalSink::observe) on each.
+    /// [`drive`] hands every sink a whole interval through this, so
+    /// dispatch is paid once per interval, not once per event.
+    fn observe_batch(&mut self, events: &[BranchEvent]) {
+        for ev in events {
+            self.observe(ev);
+        }
+    }
 
     /// Closes the current interval with its summary.
     fn end_interval(&mut self, summary: &IntervalSummary);
@@ -28,6 +40,10 @@ pub trait IntervalSink {
 impl<S: IntervalSink + ?Sized> IntervalSink for &mut S {
     fn observe(&mut self, ev: &BranchEvent) {
         (**self).observe(ev);
+    }
+
+    fn observe_batch(&mut self, events: &[BranchEvent]) {
+        (**self).observe_batch(events);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
@@ -40,38 +56,35 @@ impl<S: IntervalSink + ?Sized> IntervalSink for Box<S> {
         (**self).observe(ev);
     }
 
+    fn observe_batch(&mut self, events: &[BranchEvent]) {
+        (**self).observe_batch(events);
+    }
+
     fn end_interval(&mut self, summary: &IntervalSummary) {
         (**self).end_interval(summary);
     }
 }
 
-/// Replays `source` to completion, fanning every event and interval
-/// boundary out to all `sinks` in order. Returns the number of intervals
-/// replayed.
+/// Replays `source` to completion, fanning every interval out to all
+/// `sinks` in order: each sink observes the interval's events, then each
+/// sink closes it. Returns the number of intervals replayed.
 ///
-/// This is the single-replay hot loop: one pass over the source feeds every
-/// registered consumer.
+/// This is the single-replay hot loop: each interval is decoded once into
+/// one reused buffer ([`IntervalSource::next_interval_into`]) and handed
+/// to every sink as a slice ([`IntervalSink::observe_batch`]).
 pub fn drive(source: &mut dyn IntervalSource, sinks: &mut [&mut dyn IntervalSink]) -> usize {
+    let mut events = Vec::new();
     let mut intervals = 0;
-    loop {
-        let summary = {
-            let sinks = &mut *sinks;
-            source.next_interval(&mut |ev| {
-                for sink in sinks.iter_mut() {
-                    sink.observe(&ev);
-                }
-            })
-        };
-        match summary {
-            Some(summary) => {
-                for sink in sinks.iter_mut() {
-                    sink.end_interval(&summary);
-                }
-                intervals += 1;
-            }
-            None => return intervals,
+    while let Some(summary) = source.next_interval_into(&mut events) {
+        for sink in sinks.iter_mut() {
+            sink.observe_batch(&events);
         }
+        for sink in sinks.iter_mut() {
+            sink.end_interval(&summary);
+        }
+        intervals += 1;
     }
+    intervals
 }
 
 #[cfg(test)]
