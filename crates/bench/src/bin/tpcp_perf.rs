@@ -1,6 +1,6 @@
 //! `tpcp-perf` — the repeatable performance harness.
 //!
-//! Times three lane families over the encoded synthetic suite:
+//! Times these lane families over the encoded synthetic suite:
 //!
 //! * **decode-only** — streaming vs. eager trace decode;
 //! * **sampled replay** — a seek-driven [`PlannedReplay`] over an 8x
@@ -9,6 +9,8 @@
 //! * **replay+classify** — a fresh phase classifier fed streaming vs.
 //!   from a materialized trace (paired lanes must produce identical
 //!   phase-ID checksums, re-proving equivalence on every run);
+//! * **offline baseline** — `simpoint_collect`: exact BBV collection
+//!   through the streaming decoder, then the default SimPoint clustering;
 //! * **engine-suite** — a full experiment-engine sweep (11 benchmarks ×
 //!   2 classifier configs) from the on-disk trace cache, plus the
 //!   cross-technique `engine_extractors` sweep (11 benchmarks × 3
@@ -41,8 +43,8 @@ use std::time::{Duration, Instant};
 use tpcp_bench::perf::{
     calibration_ops_per_sec, classify_eager, classify_streaming, decode_eager, decode_scalar,
     decode_streaming, distance_fixture, distance_scalar, engine_extractors, engine_lanes,
-    engine_suite, perf_suite, replay_full, replay_indices, replay_sampled, suite_totals, LaneRun,
-    PerfTrace, Scale,
+    engine_suite, perf_suite, replay_full, replay_indices, replay_sampled, simpoint_collect,
+    suite_totals, LaneRun, PerfTrace, Scale,
 };
 use tpcp_bench::report::{
     check_against_baseline, git_sha, parse_calibration, peak_rss_bytes, summarize, unmatched_lanes,
@@ -506,6 +508,15 @@ fn main() -> ExitCode {
         "streaming and eager classification disagree on the phase-ID stream"
     );
     println!("  equivalence: streaming == eager on both lane pairs");
+
+    println!("timing offline baseline lane ({} iters) ...", args.iters);
+    let (simpoint_run, samples) = time_lane(args.iters, || simpoint_collect(&suite));
+    lanes.push(summarize(
+        "simpoint_collect",
+        &samples,
+        simpoint_run.intervals,
+        simpoint_run.events,
+    ));
 
     let rate_of = |lanes: &[LaneStats], name: &str| {
         lanes

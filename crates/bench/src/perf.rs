@@ -18,8 +18,10 @@
 use bytes::Bytes;
 use tpcp_core::{ClassifierConfig, PhaseClassifier};
 use tpcp_experiments::{Engine, EngineError, EngineStats, SuiteParams, TraceCache};
+use tpcp_simpoint::{SimPointClassifier, SimPointConfig};
 use tpcp_trace::{
-    decode_trace, IntervalSource, PhaseSpec, RecordedTrace, StreamingDecoder, SyntheticTrace,
+    decode_trace, BbvTrace, IntervalSource, PhaseSpec, RecordedTrace, StreamingDecoder,
+    SyntheticTrace,
 };
 use tpcp_workloads::BenchmarkKind;
 
@@ -424,6 +426,40 @@ pub fn classify_eager(suite: &[PerfTrace], config: ClassifierConfig) -> LaneRun 
     }
 }
 
+/// The offline baseline's path: each trace's exact [`BbvTrace`] collected
+/// through [`StreamingDecoder`], then clustered by the default
+/// [`SimPointClassifier`]. The checksum folds every BBV component (PC and
+/// weight bits) and the clustering, so it certifies both.
+pub fn simpoint_collect(suite: &[PerfTrace]) -> LaneRun {
+    let classifier = SimPointClassifier::new(SimPointConfig::default());
+    let mut intervals = 0u64;
+    let mut events = 0u64;
+    let mut checksum = 0u64;
+    for t in suite {
+        let mut decoder =
+            StreamingDecoder::new(&t.encoded).expect("perf suite traces are well-formed");
+        let bbvs = BbvTrace::collect(&mut decoder);
+        assert_eq!(decoder.error(), None, "perf suite traces are well-formed");
+        for bbv in &bbvs.vectors {
+            for (pc, weight) in bbv.iter() {
+                checksum = fold_event(checksum, pc ^ weight.to_bits());
+            }
+        }
+        let clustering = classifier.classify(&bbvs);
+        for &a in &clustering.assignments {
+            checksum = fold(checksum, a as u64);
+        }
+        checksum = fold(checksum, clustering.k as u64);
+        intervals += bbvs.len() as u64;
+        events += t.events;
+    }
+    LaneRun {
+        intervals,
+        events,
+        checksum,
+    }
+}
+
 /// Deterministic fixture for the distance micro-lane: a full signature
 /// table plus a batch of probe signatures, all derived from a fixed
 /// xorshift stream. The table threshold (0.85) keeps most entry scans
@@ -617,6 +653,16 @@ mod tests {
         let eager = classify_eager(&suite, config);
         assert_eq!(streaming, eager);
         assert_eq!(streaming.intervals, 30);
+    }
+
+    #[test]
+    fn simpoint_collect_covers_every_interval() {
+        let suite = tiny_suite();
+        let run = simpoint_collect(&suite);
+        assert_eq!(run.intervals, 30);
+        assert_eq!(run.events, suite_totals(&suite).1);
+        assert_ne!(run.checksum, 0);
+        assert_eq!(run, simpoint_collect(&suite));
     }
 
     #[test]

@@ -103,7 +103,8 @@ pub fn estimate(cache: &TraceCache, params: &SuiteParams) -> Vec<Table> {
 ///
 /// Also returns the sampled pass's [`TelemetrySnapshot`](crate::TelemetrySnapshot) — the one whose
 /// per-lane `intervals_skipped`/`bytes_skipped`/`seek_count` counters
-/// show the plan at work.
+/// show the plan at work. Pass 1's telemetry is not returned, so a caller
+/// that sums the returned stage times leaves the full pass-1 replay out.
 pub fn run_sampling(
     cache: &TraceCache,
     params: &SuiteParams,

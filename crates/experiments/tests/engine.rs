@@ -418,6 +418,66 @@ fn simpoint_registrations_share_one_serial_equal_run() {
     );
 }
 
+/// On every quick-suite trace, the engine's shared SimPoint run holds the
+/// BBVs of a reference collection that shares no code with `BbvBuilder`
+/// (per-PC sums in an ordered map, each divided by the interval total),
+/// bit for bit, and the default clustering of those BBVs.
+#[test]
+fn simpoint_runs_match_reference_bbvs_on_every_quick_trace() {
+    use std::collections::BTreeMap;
+    use tpcp_simpoint::{SimPointClassifier, SimPointConfig};
+    use tpcp_trace::IntervalSource;
+
+    let cache = test_cache();
+    let params = SuiteParams::quick();
+    let mut engine = Engine::new(params);
+    let cells: Vec<_> = BenchmarkKind::ALL
+        .iter()
+        .map(|&kind| (kind, engine.simpoint(kind, |run| run.clone())))
+        .collect();
+    let stats = engine.run(&cache);
+    assert!(
+        stats.failure_report().is_empty(),
+        "{:?}",
+        stats.failure_report()
+    );
+    assert_eq!(stats.max_replays_per_trace(), 1);
+
+    for (kind, cell) in cells {
+        let run = cell.take();
+        let trace = cache.load_or_simulate(kind, &params);
+        let mut source = trace.replay();
+        let mut raw: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut total = 0u64;
+        let mut intervals = 0;
+        while let Some(summary) = source.next_interval(&mut |ev| {
+            *raw.entry(ev.pc).or_insert(0) += u64::from(ev.insns);
+            total += u64::from(ev.insns);
+        }) {
+            let denom = total.max(1) as f64;
+            let want: Vec<(u64, u64)> = std::mem::take(&mut raw)
+                .into_iter()
+                .map(|(pc, n)| (pc, (n as f64 / denom).to_bits()))
+                .collect();
+            total = 0;
+            let got: Vec<(u64, u64)> = run.bbvs.vectors[intervals]
+                .iter()
+                .map(|(pc, w)| (pc, w.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{} interval {intervals}", kind.label());
+            assert_eq!(run.bbvs.summaries[intervals], summary);
+            intervals += 1;
+        }
+        assert_eq!(run.bbvs.len(), intervals, "{}", kind.label());
+        assert_eq!(
+            run.clustering,
+            SimPointClassifier::new(SimPointConfig::default()).classify(&run.bbvs),
+            "{}",
+            kind.label()
+        );
+    }
+}
+
 /// A `simpoint` reduction that panics fails its group, and every other
 /// registration on the shared run resolves to that failure too (the
 /// panicking one runs first, so the second never gets its value).

@@ -84,7 +84,7 @@ fn bbv_trait_path_reproduces_legacy_ids_on_all_models() {
 
 /// All three extractor kinds at the *same* dimension count ride one
 /// replay per trace, each matching its serial reference — proving the
-/// sweep keys front-ends by `(kind, dims)`, not by dims alone (a
+/// sweep keys front-ends by extractor kind, not by dims alone (a
 /// dims-only key would feed working-set lanes BBV counters).
 #[test]
 fn cross_extractor_lanes_match_serial_reference_in_one_replay() {

@@ -1,5 +1,7 @@
 //! Seeded k-means with k-means++ initialization.
 
+use std::cmp::Ordering;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,16 +22,56 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Runs k-means on `points` with `k` clusters.
-///
-/// Initialization is k-means++ driven by a seeded RNG, so results are fully
-/// reproducible. Empty clusters are re-seeded to the farthest point from
-/// its centroid.
+/// Index of the centroid nearest to `p`; the first one wins a tie.
 ///
 /// # Panics
 ///
-/// Panics if `points` is empty, `k` is zero, or points have inconsistent
-/// dimensionality.
+/// Panics if a distance compared is NaN.
+fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> usize {
+    let mut best = 0;
+    let mut best_d = sq_dist(p, &centroids[0]);
+    for (c, centroid) in centroids.iter().enumerate().skip(1) {
+        let d = sq_dist(p, centroid);
+        if best_d.partial_cmp(&d).expect("distances are finite") == Ordering::Greater {
+            best = c;
+            best_d = d;
+        }
+    }
+    best
+}
+
+/// Index of the point farthest from its assigned centroid; the last one
+/// wins a tie.
+///
+/// # Panics
+///
+/// Panics if a distance compared is NaN.
+fn farthest(points: &[Vec<f64>], centroids: &[Vec<f64>], assignments: &[usize]) -> usize {
+    let dist = |i: usize| sq_dist(&points[i], &centroids[assignments[i]]);
+    let mut far = 0;
+    let mut far_d = dist(0);
+    for i in 1..points.len() {
+        let d = dist(i);
+        if far_d.partial_cmp(&d).expect("finite") != Ordering::Greater {
+            far = i;
+            far_d = d;
+        }
+    }
+    far
+}
+
+/// Runs k-means on `points` with `k` clusters.
+///
+/// Initialization is k-means++ driven by a seeded RNG, so results are fully
+/// reproducible. Each point goes to its nearest centroid, the lowest index
+/// on a tie. Empty clusters are re-seeded to the point farthest from its
+/// centroid, the highest index on a tie. Each step computes every distance
+/// it compares once.
+///
+/// # Panics
+///
+/// Panics if `points` is empty, `k` is zero, points have inconsistent
+/// dimensionality, or a distance compared is NaN.
 ///
 /// # Example
 ///
@@ -92,13 +134,7 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Kme
         // Assignment step.
         let mut changed = false;
         for (i, p) in points.iter().enumerate() {
-            let best = (0..centroids.len())
-                .min_by(|&a, &b| {
-                    sq_dist(p, &centroids[a])
-                        .partial_cmp(&sq_dist(p, &centroids[b]))
-                        .expect("distances are finite")
-                })
-                .expect("k >= 1");
+            let best = nearest(p, &centroids);
             if assignments[i] != best {
                 assignments[i] = best;
                 changed = true;
@@ -120,20 +156,15 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Kme
                 }
             }
         }
-        // Re-seed empty clusters with the globally farthest point.
-        for (ci, &count) in counts.iter().enumerate() {
-            if count == 0 {
-                let far = points
-                    .iter()
-                    .enumerate()
-                    .max_by(|(ia, a), (ib, b)| {
-                        sq_dist(a, &centroids[assignments[*ia]])
-                            .partial_cmp(&sq_dist(b, &centroids[assignments[*ib]]))
-                            .expect("finite")
-                    })
-                    .map(|(i, _)| i)
-                    .expect("points non-empty");
-                centroids[ci] = points[far].clone();
+        // Re-seed empty clusters with the globally farthest point. No point
+        // is assigned to an empty cluster, so re-seeding one moves no
+        // point's centroid, and every empty cluster gets the same point.
+        if counts.contains(&0) {
+            let far = farthest(points, &centroids, &assignments);
+            for (ci, &count) in counts.iter().enumerate() {
+                if count == 0 {
+                    centroids[ci] = points[far].clone();
+                }
             }
         }
         if !changed && iter > 0 {
@@ -219,6 +250,32 @@ mod tests {
         let points = vec![vec![1.0, 1.0]; 10];
         let r = kmeans(&points, 3, 50, 7);
         assert!(r.distortion < 1e-12);
+    }
+
+    /// Two values, each twice, in four clusters: k-means++ seeds one
+    /// centroid on each value and the other two on copies of them (its
+    /// distance total is zero by then), whatever the seed. Each point then
+    /// ties between coincident centroids and joins the first, leaving two
+    /// clusters empty; every point sits at distance zero from its centroid,
+    /// so the last point, 2.0, re-seeds both.
+    #[test]
+    fn ties_go_to_the_first_nearest_centroid_and_the_last_farthest_point() {
+        let points = vec![vec![0.0], vec![2.0], vec![0.0], vec![2.0]];
+        for seed in 0..32 {
+            let r = kmeans(&points, 4, 50, seed);
+            let first = |v: f64| r.centroids.iter().position(|c| c[0] == v);
+            let (zero, two) = (first(0.0).unwrap(), first(2.0).unwrap());
+            assert_eq!(r.assignments, [zero, two, zero, two], "seed {seed}: {r:?}");
+            let twos = r.centroids.iter().filter(|c| c[0] == 2.0).count();
+            assert_eq!(twos, 3, "seed {seed}: {r:?}");
+            assert_eq!(r.distortion, 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distances are finite")]
+    fn nan_distance_rejected() {
+        kmeans(&[vec![0.0], vec![f64::NAN]], 2, 10, 0);
     }
 
     #[test]

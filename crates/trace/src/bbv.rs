@@ -6,8 +6,22 @@
 //! classifiers (Sherwood et al., ASPLOS'02) clusters these vectors; the
 //! online architecture of the paper is an approximation that projects them
 //! into a small number of hardware counters.
+//!
+//! [`BbvBuilder`] counts instructions per PC in one open-addressed
+//! `(pc, instructions)` table that lives across intervals: power-of-two
+//! slots, linear probing, at most half full, plus a list of the slots this
+//! interval touched, so [`BbvBuilder::finish`] visits and clears only the
+//! interval's own PCs instead of the whole table. `finish` sums those
+//! counts into the interval total, sorts the entries by PC once and divides
+//! each count by the total, which makes [`Bbv`] a PC-sorted vector:
+//! `weight` is a binary search, and `iter` and `manhattan_distance` walk
+//! components in ascending PC order. An ordered map keyed by PC yields the
+//! same components in the same order, each weight from the same exact
+//! integer sums and the same `count as f64 / total` division, so every
+//! weight, projection sum and distance is bit-identical to one built that
+//! way; the trace proptests check this against such a reference.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 use crate::event::BranchEvent;
 use crate::interval::IntervalSummary;
@@ -16,7 +30,7 @@ use crate::interval::IntervalSummary;
 ///
 /// Components are keyed by branch PC and hold the *fraction* of the
 /// interval's instructions attributed to that PC (so components sum to 1 for
-/// a non-empty interval).
+/// an interval that retired any instructions).
 ///
 /// # Example
 ///
@@ -33,16 +47,20 @@ use crate::interval::IntervalSummary;
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Bbv {
-    components: BTreeMap<u64, f64>,
+    /// `(pc, weight)` pairs, strictly ascending by PC.
+    components: Vec<(u64, f64)>,
 }
 
 impl Bbv {
     /// The normalized weight of branch PC `pc`, or `0.0` if absent.
     pub fn weight(&self, pc: u64) -> f64 {
-        self.components.get(&pc).copied().unwrap_or(0.0)
+        self.components
+            .binary_search_by_key(&pc, |&(p, _)| p)
+            .map_or(0.0, |i| self.components[i].1)
     }
 
-    /// Number of distinct branch PCs with non-zero weight.
+    /// Number of distinct branch PCs observed in the interval (a branch
+    /// that retired zero instructions still counts, with weight 0).
     pub fn len(&self) -> usize {
         self.components.len()
     }
@@ -54,7 +72,7 @@ impl Bbv {
 
     /// Iterates over `(pc, weight)` pairs in ascending PC order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.components.iter().map(|(&pc, &w)| (pc, w))
+        self.components.iter().copied()
     }
 
     /// Manhattan (L1) distance between two normalized BBVs.
@@ -62,44 +80,67 @@ impl Bbv {
     /// Ranges from 0 (identical code profile) to 2 (disjoint code). This is
     /// the distance SimPoint-style clustering operates on.
     pub fn manhattan_distance(&self, other: &Bbv) -> f64 {
+        let (a, b) = (&self.components, &other.components);
+        let (mut i, mut j) = (0, 0);
         let mut dist = 0.0;
-        let mut a = self.components.iter().peekable();
-        let mut b = other.components.iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((&pa, &wa)), Some((&pb, &wb))) => {
-                    if pa == pb {
-                        dist += (wa - wb).abs();
-                        a.next();
-                        b.next();
-                    } else if pa < pb {
-                        dist += wa;
-                        a.next();
-                    } else {
-                        dist += wb;
-                        b.next();
-                    }
+        while let (Some(&(pa, wa)), Some(&(pb, wb))) = (a.get(i), b.get(j)) {
+            match pa.cmp(&pb) {
+                Ordering::Equal => {
+                    dist += (wa - wb).abs();
+                    i += 1;
+                    j += 1;
                 }
-                (Some((_, &wa)), None) => {
+                Ordering::Less => {
                     dist += wa;
-                    a.next();
+                    i += 1;
                 }
-                (None, Some((_, &wb))) => {
+                Ordering::Greater => {
                     dist += wb;
-                    b.next();
+                    j += 1;
                 }
-                (None, None) => break,
             }
+        }
+        // One side is exhausted; add the other's tail term by term, in the
+        // same order as the merge would.
+        for &(_, w) in a[i..].iter().chain(&b[j..]) {
+            dist += w;
         }
         dist
     }
 }
 
+/// Slots in a new builder's table.
+const INITIAL_SLOTS: usize = 256;
+
+/// One slot of a [`BbvBuilder`] table. `biased` is 0 for an empty slot,
+/// else 1 + the instructions counted for `pc`, so that a branch retiring
+/// zero instructions still occupies its slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    pc: u64,
+    biased: u64,
+}
+
 /// Accumulates branch events into a [`Bbv`] for the current interval.
-#[derive(Debug, Clone, Default)]
+///
+/// Counts live in one open-addressed table that the builder keeps across
+/// intervals; [`finish`](Self::finish) clears only the slots the interval
+/// touched, so reuse one builder for a whole trace.
+#[derive(Debug, Clone)]
 pub struct BbvBuilder {
-    raw: BTreeMap<u64, u64>,
-    total: u64,
+    /// Open-addressed by `pc`; a power of two long, at most half full.
+    slots: Vec<Slot>,
+    /// Indices of the slots occupied this interval, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl Default for BbvBuilder {
+    fn default() -> Self {
+        Self {
+            slots: vec![Slot::default(); INITIAL_SLOTS],
+            touched: Vec::new(),
+        }
+    }
 }
 
 impl BbvBuilder {
@@ -109,27 +150,85 @@ impl BbvBuilder {
     }
 
     /// Adds one branch event's instruction count to its PC's component.
+    #[inline]
     pub fn observe(&mut self, ev: BranchEvent) {
-        *self.raw.entry(ev.pc).or_insert(0) += u64::from(ev.insns);
-        self.total += u64::from(ev.insns);
+        let insns = u64::from(ev.insns);
+        let mask = self.slots.len() - 1;
+        let mut i = home_slot(ev.pc, self.slots.len());
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.biased == 0 {
+                self.insert(i, ev.pc, insns);
+                return;
+            }
+            if slot.pc == ev.pc {
+                slot.biased += insns;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// Total instructions observed so far.
     pub fn total_instructions(&self) -> u64 {
-        self.total
+        self.touched
+            .iter()
+            .map(|&i| self.slots[i as usize].biased - 1)
+            .sum()
     }
 
     /// Finishes the interval, producing a normalized [`Bbv`] and resetting
     /// the builder for the next interval.
     pub fn finish(&mut self) -> Bbv {
-        let total = self.total.max(1) as f64;
-        let components = std::mem::take(&mut self.raw)
-            .into_iter()
-            .map(|(pc, n)| (pc, n as f64 / total))
+        let total = self.total_instructions().max(1) as f64;
+        let mut components: Vec<(u64, f64)> = self
+            .touched
+            .drain(..)
+            .map(|i| {
+                let slot = std::mem::take(&mut self.slots[i as usize]);
+                (slot.pc, (slot.biased - 1) as f64 / total)
+            })
             .collect();
-        self.total = 0;
+        components.sort_unstable_by_key(|&(pc, _)| pc);
         Bbv { components }
     }
+
+    /// Claims the empty slot `i` for `pc`: a PC's first event in the
+    /// interval. Doubles the table if that leaves it over half full.
+    #[cold]
+    fn insert(&mut self, i: usize, pc: u64, insns: u64) {
+        self.slots[i] = Slot {
+            pc,
+            biased: 1 + insns,
+        };
+        self.touched.push(i as u32);
+        if 2 * self.touched.len() > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// Doubles the table and re-inserts this interval's entries.
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); len]);
+        for t in &mut self.touched {
+            let entry = old[*t as usize];
+            let mut i = home_slot(entry.pc, len);
+            while self.slots[i].biased != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = entry;
+            *t = i as u32;
+        }
+    }
+}
+
+/// Home slot of `pc` in a table of `len` slots, a power of two of at least
+/// 2: Fibonacci hashing, whose high product bits spread aligned and
+/// clustered PCs alike.
+#[inline]
+fn home_slot(pc: u64, len: usize) -> usize {
+    (pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
 }
 
 /// A whole program execution as per-interval BBVs plus interval summaries.

@@ -442,3 +442,151 @@ mod simd {
         }
     }
 }
+
+/// `BbvBuilder` against an independent reference: the ordered-map builder
+/// it replaced. Every interval's vector must match the reference bit for
+/// bit, through one builder reused across intervals.
+mod bbv_oracle {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// Per-PC instruction sums in an ordered map, normalized by the
+    /// interval total at `finish`.
+    #[derive(Default)]
+    struct ReferenceBuilder {
+        raw: BTreeMap<u64, u64>,
+        total: u64,
+    }
+
+    impl ReferenceBuilder {
+        fn observe(&mut self, ev: BranchEvent) {
+            *self.raw.entry(ev.pc).or_insert(0) += u64::from(ev.insns);
+            self.total += u64::from(ev.insns);
+        }
+
+        fn finish(&mut self) -> BTreeMap<u64, f64> {
+            let total = self.total.max(1) as f64;
+            self.total = 0;
+            std::mem::take(&mut self.raw)
+                .into_iter()
+                .map(|(pc, n)| (pc, n as f64 / total))
+                .collect()
+        }
+    }
+
+    /// L1 distance by an ordered merge over both maps, summing terms in
+    /// ascending PC order.
+    fn reference_distance(a: &BTreeMap<u64, f64>, b: &BTreeMap<u64, f64>) -> f64 {
+        let mut dist = 0.0;
+        let mut a = a.iter().peekable();
+        let mut b = b.iter().peekable();
+        loop {
+            match (a.peek(), b.peek()) {
+                (Some((&pa, &wa)), Some((&pb, &wb))) => {
+                    if pa == pb {
+                        dist += (wa - wb).abs();
+                        a.next();
+                        b.next();
+                    } else if pa < pb {
+                        dist += wa;
+                        a.next();
+                    } else {
+                        dist += wb;
+                        b.next();
+                    }
+                }
+                (Some((_, &wa)), None) => {
+                    dist += wa;
+                    a.next();
+                }
+                (None, Some((_, &wb))) => {
+                    dist += wb;
+                    b.next();
+                }
+                (None, None) => break,
+            }
+        }
+        dist
+    }
+
+    /// PCs at both ends of the range, a small pool that repeats, aligned
+    /// code addresses, and arbitrary ones; instruction counts of zero (a
+    /// zero-weight component), small, and up to `u32::MAX`.
+    fn arb_bbv_event() -> impl Strategy<Value = BranchEvent> {
+        let pc = prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            0u64..8,
+            (0u64..4_096).prop_map(|i| 0x40_0000 + 4 * i),
+            any::<u64>(),
+        ];
+        let insns = prop_oneof![Just(0u32), 0u32..500, any::<u32>()];
+        (pc, insns).prop_map(|(pc, insns)| BranchEvent::new(pc, insns))
+    }
+
+    /// Bit patterns of a vector's components, in iteration order.
+    fn bits(components: impl Iterator<Item = (u64, f64)>) -> Vec<(u64, u64)> {
+        components.map(|(pc, w)| (pc, w.to_bits())).collect()
+    }
+
+    proptest! {
+        /// Intervals of up to 1,500 events, about two in five at a fresh
+        /// PC, so many hold more distinct PCs than the first table has
+        /// room for (128 at half load) and it grows mid-interval. Each
+        /// vector's distance is checked against the previous interval's
+        /// and against one over mid-range PCs only, so the merge also
+        /// takes its head and tail paths on both sides.
+        #[test]
+        fn builder_equals_ordered_map_reference_bit_for_bit(
+            intervals in prop::collection::vec(
+                prop::collection::vec(arb_bbv_event(), 0..1_500),
+                1..6,
+            ),
+            mid in prop::collection::vec((0u64..64, 0u32..500), 0..40),
+        ) {
+            let mut builder = BbvBuilder::new();
+            let mut reference = ReferenceBuilder::default();
+            for &(i, insns) in &mid {
+                let ev = BranchEvent::new(0x40_0000 + 4 * i, insns);
+                builder.observe(ev);
+                reference.observe(ev);
+            }
+            let mid = (builder.finish(), reference.finish());
+            let mut previous = mid.clone();
+            for events in &intervals {
+                for &ev in events {
+                    builder.observe(ev);
+                    reference.observe(ev);
+                }
+                prop_assert_eq!(builder.total_instructions(), reference.total);
+                let got = builder.finish();
+                let want = reference.finish();
+                prop_assert_eq!(builder.total_instructions(), 0);
+
+                prop_assert_eq!(got.len(), want.len());
+                prop_assert_eq!(got.is_empty(), want.is_empty());
+                prop_assert_eq!(bits(got.iter()), bits(want.iter().map(|(&pc, &w)| (pc, w))));
+                for (&pc, &w) in &want {
+                    prop_assert_eq!(got.weight(pc).to_bits(), w.to_bits());
+                    for probe in [pc.wrapping_add(1), pc.wrapping_sub(1)] {
+                        if !want.contains_key(&probe) {
+                            prop_assert_eq!(got.weight(probe).to_bits(), 0.0f64.to_bits());
+                        }
+                    }
+                }
+                for probe in [0, u64::MAX, 0x40_0002] {
+                    let w = want.get(&probe).copied().unwrap_or(0.0);
+                    prop_assert_eq!(got.weight(probe).to_bits(), w.to_bits());
+                }
+
+                for (other_got, other_want) in [&previous, &mid] {
+                    let d = reference_distance(&want, other_want);
+                    prop_assert_eq!(got.manhattan_distance(other_got).to_bits(), d.to_bits());
+                    let d = reference_distance(other_want, &want);
+                    prop_assert_eq!(other_got.manhattan_distance(&got).to_bits(), d.to_bits());
+                }
+                previous = (got, want);
+            }
+        }
+    }
+}
