@@ -41,10 +41,10 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use tpcp_bench::perf::{
-    calibration_ops_per_sec, classify_eager, classify_streaming, decode_eager, decode_scalar,
-    decode_streaming, distance_fixture, distance_scalar, engine_extractors, engine_lanes,
-    engine_suite, perf_suite, replay_full, replay_indices, replay_sampled, simpoint_collect,
-    suite_totals, LaneRun, PerfTrace, Scale,
+    calibration_ops_per_sec, classify_eager, classify_streaming, decode_eager, decode_streaming,
+    distance_fixture, distance_scalar, engine_extractors, engine_lanes, engine_suite, perf_suite,
+    replay_full, replay_indices, replay_sampled, simpoint_collect, suite_totals, LaneRun,
+    PerfTrace, Scale,
 };
 use tpcp_bench::report::{
     check_against_baseline, git_sha, parse_calibration, peak_rss_bytes, summarize, unmatched_lanes,
@@ -163,12 +163,11 @@ fn time_lane(iters: u32, mut body: impl FnMut() -> LaneRun) -> (LaneRun, Vec<Dur
     (reference, samples)
 }
 
-/// Times two lanes that decode the same stream through different kernels
-/// by interleaving their repetitions A,B,A,B,… Slow drift of the host
+/// Times two lanes that deliver the same stream by different routes by
+/// interleaving their repetitions A,B,A,B,… Slow drift of the host
 /// (frequency scaling, co-tenant load) then hits both lanes roughly
 /// equally instead of whichever lane happened to be timed second, which is
-/// what makes the reported kernel speedups reproducible on shared
-/// machines.
+/// what makes the reported speedups reproducible on shared machines.
 fn time_lane_pair(
     iters: u32,
     mut a: impl FnMut() -> LaneRun,
@@ -399,13 +398,7 @@ fn main() -> ExitCode {
         dec_eager_run.intervals,
         dec_eager_run.events,
     ));
-    // The default (SWAR) and scalar decode kernels are timed as one
-    // interleaved pair, so host drift cancels out of their speed-up.
-    let (dec_scalar_run, scalar_samples, dec_stream_run, stream_samples) = time_lane_pair(
-        args.iters,
-        || decode_scalar(&suite),
-        || decode_streaming(&suite),
-    );
+    let (dec_stream_run, stream_samples) = time_lane(args.iters, || decode_streaming(&suite));
     lanes.push(summarize(
         "decode_streaming",
         &stream_samples,
@@ -416,26 +409,6 @@ fn main() -> ExitCode {
         dec_eager_run, dec_stream_run,
         "streaming and eager decode disagree on the event stream"
     );
-    lanes.push(summarize(
-        "decode_scalar",
-        &scalar_samples,
-        dec_scalar_run.intervals,
-        dec_scalar_run.events,
-    ));
-    assert_eq!(
-        dec_scalar_run, dec_stream_run,
-        "scalar decode kernel disagrees with the default decode path"
-    );
-    {
-        let stream_rate = lanes[lanes.len() - 2].intervals_per_sec;
-        let scalar_rate = lanes[lanes.len() - 1].intervals_per_sec;
-        if scalar_rate > 0.0 {
-            println!(
-                "  decode streaming/scalar speedup: {:.2}x",
-                stream_rate / scalar_rate
-            );
-        }
-    }
 
     let totals = (suite_intervals, suite_events, suite_bytes);
     bail_if_interrupted!(&args, suite.len(), totals, calibration, lanes);

@@ -30,7 +30,7 @@ use tpcp_workloads::BenchmarkKind;
 pub struct PerfTrace {
     /// Short stable name, for logs.
     pub name: &'static str,
-    /// The `TPCPTRC2` buffer every lane decodes from.
+    /// The encoded trace buffer every lane decodes from.
     pub encoded: Bytes,
     /// Interval count (decoded once at suite-build time).
     pub intervals: u64,
@@ -196,7 +196,7 @@ fn fold(acc: u64, x: u64) -> u64 {
 
 /// Order-sensitive per-event fold for the decode lanes. The FNV multiply
 /// is a ~5-cycle serial dependency chain per event — at one fold per
-/// decoded event it dominates the lane and hides the kernel difference the
+/// decoded event it dominates the lane and hides the decode cost the
 /// decode lanes exist to measure. A fixed rotate-xor keeps the checksum
 /// order-sensitive at two cycles of latency and one uop of throughput.
 /// Interval summaries (rare) still go through [`fold`].
@@ -206,27 +206,14 @@ fn fold_event(acc: u64, x: u64) -> u64 {
 }
 
 /// Decode-only, streaming: every event and interval summary is delivered
-/// from the encoded buffer without materializing anything. Uses the
-/// decoder's default kernel, the SWAR batch path, and must produce the
-/// same [`LaneRun`] as [`decode_scalar`] bit for bit.
+/// from the encoded buffer without materializing anything.
 pub fn decode_streaming(suite: &[PerfTrace]) -> LaneRun {
-    decode_streaming_kernel(suite, false)
-}
-
-/// Decode-only, streaming, with the decoder's scalar event kernel forced
-/// — the reference half of the decode speedup measurement.
-pub fn decode_scalar(suite: &[PerfTrace]) -> LaneRun {
-    decode_streaming_kernel(suite, true)
-}
-
-fn decode_streaming_kernel(suite: &[PerfTrace], force_scalar: bool) -> LaneRun {
     let mut intervals = 0u64;
     let mut events = 0u64;
     let mut checksum = 0u64;
     for t in suite {
         let mut decoder =
             StreamingDecoder::new(&t.encoded).expect("perf suite traces are well-formed");
-        decoder.force_scalar(force_scalar);
         loop {
             let next = decoder
                 .try_next_interval_with(&mut |ev: tpcp_trace::BranchEvent| {
@@ -663,12 +650,6 @@ mod tests {
         assert_eq!(run.events, suite_totals(&suite).1);
         assert_ne!(run.checksum, 0);
         assert_eq!(run, simpoint_collect(&suite));
-    }
-
-    #[test]
-    fn decode_kernel_lanes_agree() {
-        let suite = tiny_suite();
-        assert_eq!(decode_scalar(&suite), decode_streaming(&suite));
     }
 
     #[test]

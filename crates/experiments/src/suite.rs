@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use tpcp_trace::{
     decode_trace, encode_trace_with_index, validate_trace, CodecError, RecordedTrace, TraceIndex,
+    TRACE_FORMAT,
 };
 use tpcp_workloads::{BenchmarkKind, WorkloadParams};
 
@@ -44,7 +45,7 @@ impl std::error::Error for CacheError {}
 /// (possibly quarantining) miss.
 #[derive(Debug, Clone)]
 pub struct CacheLoad {
-    /// The validated `TPCPTRC2` trace buffer.
+    /// The validated trace buffer, in the current [`TRACE_FORMAT`].
     pub bytes: Bytes,
     /// The interval index for `bytes` — loaded from the `.tpcpidx`
     /// sidecar when one validates against the payload, rebuilt (and
@@ -98,7 +99,11 @@ impl SuiteParams {
 /// Simulating the full suite takes minutes; every figure replays the same
 /// traces. The cache stores each benchmark's [`RecordedTrace`] in the
 /// compact `tpcp-trace` codec under
-/// `<dir>/<benchmark>-<fingerprint>.tpcptrc`.
+/// `<dir>/<benchmark>-<fingerprint>-<format>.tpcptrc`, its interval index
+/// next to it as `.tpcpidx`. The format is the codec's [`TRACE_FORMAT`]
+/// in lower case, so an entry written in another format is never opened:
+/// its sidecar would still vouch for its bytes, and the replay would fail
+/// on them.
 ///
 /// # Example
 ///
@@ -140,18 +145,24 @@ impl TraceCache {
         self
     }
 
-    fn path_for(&self, kind: BenchmarkKind, params: &SuiteParams) -> PathBuf {
+    /// The path of a benchmark's cache file with extension `ext`.
+    fn entry_path(&self, kind: BenchmarkKind, params: &SuiteParams, ext: &str) -> PathBuf {
         let safe_name = kind.label().replace('/', "_");
-        self.dir
-            .join(format!("{safe_name}-{}.tpcptrc", params.fingerprint()))
+        let format = TRACE_FORMAT.to_ascii_lowercase();
+        self.dir.join(format!(
+            "{safe_name}-{}-{format}.{ext}",
+            params.fingerprint()
+        ))
+    }
+
+    fn path_for(&self, kind: BenchmarkKind, params: &SuiteParams) -> PathBuf {
+        self.entry_path(kind, params, "tpcptrc")
     }
 
     /// The interval-index sidecar path next to a benchmark's payload
     /// entry (`<entry>.tpcpidx` instead of `<entry>.tpcptrc`).
     fn index_path_for(&self, kind: BenchmarkKind, params: &SuiteParams) -> PathBuf {
-        let safe_name = kind.label().replace('/', "_");
-        self.dir
-            .join(format!("{safe_name}-{}.tpcpidx", params.fingerprint()))
+        self.entry_path(kind, params, "tpcpidx")
     }
 
     /// Loads the benchmark's trace from the cache, simulating and storing
@@ -194,9 +205,9 @@ impl TraceCache {
 
     /// Loads the benchmark's *encoded* trace buffer from the cache,
     /// simulating, encoding, and storing it on a miss. The returned
-    /// buffer is always a valid `TPCPTRC2` trace — cached bytes are
-    /// checked with [`validate_trace`] before being returned — so callers
-    /// can stream it straight into live consumers with
+    /// buffer is always a valid trace in the current format — cached
+    /// bytes are checked with [`validate_trace`] before being returned —
+    /// so callers can stream it straight into live consumers with
     /// [`tpcp_trace::StreamingDecoder`] without materializing a
     /// [`RecordedTrace`].
     ///
@@ -209,7 +220,7 @@ impl TraceCache {
     /// The `.tpcpidx` sidecar travels with the payload at every step:
     ///
     /// - a hit whose sidecar decodes and validates against the payload
-    ///   skips the full varint re-walk (the sidecar's checksum ties it to
+    ///   skips the full frame re-walk (the sidecar's checksum ties it to
     ///   exactly these bytes, and it was built by a complete, validating
     ///   decode pass);
     /// - a hit *without* a sidecar rebuilds the index from the payload
@@ -640,6 +651,38 @@ mod tests {
             .unwrap();
         assert!(repaired.quarantined.is_some() && repaired.quarantined_index.is_some());
         assert_eq!(repaired.index, a.index);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_under_the_pre_format_name_is_never_opened() {
+        let dir = std::env::temp_dir().join(format!("tpcp-cache-oldname-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TraceCache::new(&dir);
+        let params = tiny_params();
+        let kind = BenchmarkKind::Mcf;
+
+        // A payload and a sidecar that vouches for it, under the names
+        // used before the format joined them.
+        let (payload, index) = encode_trace_with_index(&RecordedTrace::default());
+        let sidecar = index.encode();
+        let stem = dir.join(format!(
+            "{}-{}",
+            kind.label().replace('/', "_"),
+            params.fingerprint()
+        ));
+        let old_payload = stem.with_extension("tpcptrc");
+        let old_index = stem.with_extension("tpcpidx");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&old_payload, &payload).unwrap();
+        std::fs::write(&old_index, &sidecar).unwrap();
+
+        let load = cache.try_load_bytes_or_simulate(kind, &params).unwrap();
+        assert!(!load.hit, "the old-name pair must not be a hit");
+        assert!(load.quarantined.is_none() && load.quarantined_index.is_none());
+        assert_ne!(load.bytes, payload);
+        assert_eq!(std::fs::read(&old_payload).unwrap(), payload.to_vec());
+        assert_eq!(std::fs::read(&old_index).unwrap(), sidecar.to_vec());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,22 +3,31 @@
 //! A [`RecordedTrace`] at 10M-instruction granularity can hold tens of
 //! millions of events; a generic self-describing encoding is wasteful for
 //! archival. This module provides a dense little-endian framing built on
-//! [`bytes`], with delta-encoded PCs within each interval (branch PCs
-//! cluster tightly in the address space, so deltas are small).
+//! [`bytes`]. An interval re-executes a small set of basic blocks, so each
+//! frame stores its distinct `(pc, insns)` pairs once, PC-delta encoded
+//! (branch PCs cluster tightly in the address space, so deltas are small),
+//! and every event as an index into that table.
 //!
 //! Format (all integers little-endian):
 //!
 //! ```text
-//! magic  b"TPCPTRC2"                      8 bytes
+//! magic  b"TPCPTRC3"                      8 bytes
 //! n_intervals: u64
 //! per interval:
 //!   index: u64, instructions: u64, cycles: u64
 //!   metrics: 5 x varint (il1, dl1, l2, tlb misses, branch mispredictions)
 //!   n_events: u64
-//!   per event: pc_delta_zigzag: varint, insns: varint
+//!   n_distinct: varint                    distinct (pc, insns) pairs
+//!   per pair, in order of first appearance:
+//!     pc_delta_zigzag: varint             from the previous pair, 0 first
+//!     insns: varint
+//!   per event: id                         index into the pairs:
+//!     u8 if n_distinct <= 256, u16 if <= 65,536, u32 otherwise
 //! ```
 //!
-//! Two decoders share one decode loop:
+//! PC deltas restart at every frame, so each frame decodes on its own.
+//!
+//! Two decoders share one frame reader:
 //!
 //! - [`decode_trace`] materializes the whole buffer into a
 //!   [`RecordedTrace`] (archival, tooling, tests).
@@ -29,23 +38,27 @@
 //!   [`drive`](crate::drive) without ever being materialized. This is the
 //!   hot path of the experiment engine.
 
+use std::collections::HashMap;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::event::BranchEvent;
-use crate::index::{IndexError, TraceIndex};
+use crate::index::{IndexError, IntervalCheckpoint, TraceIndex};
 use crate::interval::{IntervalSource, IntervalSummary};
 use crate::recorded::{RecordedInterval, RecordedTrace};
 
-const MAGIC: &[u8; 8] = b"TPCPTRC2";
+/// The trace format this crate writes and reads: the magic that opens
+/// every encoded buffer. On-disk caches put it in their entry names, so
+/// an entry written in another format is never opened.
+pub const TRACE_FORMAT: &str = "TPCPTRC3";
+
+const MAGIC: &[u8] = TRACE_FORMAT.as_bytes();
 
 /// Minimum encoded size of one interval: 3 fixed u64s, five 1-byte
-/// varints, and the 8-byte event count. Used to bound a declared
-/// `n_intervals` against the remaining buffer before allocating.
-const MIN_INTERVAL_BYTES: usize = 24 + 5 + 8;
-
-/// Minimum encoded size of one event (two 1-byte varints). Used to bound a
-/// declared `n_events` against the remaining buffer before allocating.
-const MIN_EVENT_BYTES: usize = 2;
+/// varints, the 8-byte event count and a 1-byte pair count. Used to bound
+/// a declared `n_intervals` against the remaining buffer before
+/// allocating.
+const MIN_INTERVAL_BYTES: usize = 24 + 5 + 8 + 1;
 
 /// Errors produced when decoding a trace buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,11 +69,14 @@ pub enum CodecError {
     Truncated,
     /// A varint ran past its maximum width.
     MalformedVarint,
-    /// A declared count (`n_intervals` or `n_events`) is larger than the
-    /// remaining buffer could possibly hold. Rejected before any
+    /// A declared count (`n_intervals`, `n_events` or `n_distinct`) is
+    /// larger than the remaining buffer could possibly hold, or a frame
+    /// declares more distinct pairs than events. Rejected before any
     /// allocation, so a corrupt header cannot trigger an OOM-sized
     /// `Vec::with_capacity`.
     ImplausibleLength,
+    /// An event id names a pair past the end of its frame's pair table.
+    EventIdOutOfRange,
 }
 
 impl core::fmt::Display for CodecError {
@@ -71,6 +87,9 @@ impl core::fmt::Display for CodecError {
             CodecError::MalformedVarint => write!(f, "malformed varint in trace buffer"),
             CodecError::ImplausibleLength => {
                 write!(f, "declared element count exceeds remaining buffer")
+            }
+            CodecError::EventIdOutOfRange => {
+                write!(f, "event id beyond its interval's pair table")
             }
         }
     }
@@ -110,9 +129,8 @@ fn read_u64_le(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
 /// Decodes a varint at `*pos` in place, advancing it.
 #[inline]
 pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    // One- and two-byte fast paths: per-event PC deltas and instruction
-    // counts almost always fit in 14 bits, and this function dominates
-    // decode time.
+    // One- and two-byte fast paths: PC deltas, instruction counts and
+    // wire-protocol fields almost always fit in 14 bits.
     let p = *pos;
     if let Some(&b0) = buf.get(p) {
         if b0 < 0x80 {
@@ -144,244 +162,15 @@ fn read_varint_general(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     Err(CodecError::MalformedVarint)
 }
 
-/// Decodes `n_events` delta/insns varint pairs starting at `*pos`,
-/// reconstructing absolute PCs from the running `*prev_pc` (0 at an
-/// interval's start) and delivering each event. The scalar reference
-/// kernel: one bounds-checked varint at a time. The SWAR kernel calls it
-/// for every event its windows do not cover, so there is one reference
-/// decode step.
-///
-/// Plausibility of `n_events` against the remaining buffer is the
-/// *caller's* responsibility ([`StreamingDecoder::try_next_interval_with`]
-/// checks it before dispatching to either kernel).
-#[inline]
-fn decode_events_scalar<F: FnMut(BranchEvent)>(
-    buf: &[u8],
-    pos: &mut usize,
-    n_events: u64,
-    prev_pc: &mut i64,
-    on_event: &mut F,
-) -> Result<(), CodecError> {
-    for _ in 0..n_events {
-        let delta = zigzag_decode(read_varint(buf, pos)?);
-        let insns = read_varint(buf, pos)?;
-        *prev_pc = prev_pc.wrapping_add(delta);
-        on_event(BranchEvent::new(*prev_pc as u64, insns as u32));
+/// Bytes per event id in a frame with `n_distinct` pairs.
+fn id_width(n_distinct: u64) -> usize {
+    if n_distinct <= 1 << 8 {
+        1
+    } else if n_distinct <= 1 << 16 {
+        2
+    } else {
+        4
     }
-    Ok(())
-}
-
-/// Batched SWAR twin of [`decode_events_scalar`]: loads the stream in
-/// 8-byte register windows and decodes runs of short varints without
-/// per-byte bounds checks or value branches.
-///
-/// The dispatch key is the window's continuation-bit mask
-/// (`word & 0x8080…80`). Trace streams are overwhelmingly *periodic* —
-/// a phase's PC deltas and instruction counts keep the same byte widths
-/// for long runs — so a handful of mask values cover nearly every window,
-/// and each gets straight-line code with **constant** shifts and a
-/// **constant** byte-count advance. That constant advance is the point:
-/// the next window's address never waits on decoded lengths, so loads for
-/// window *n+1* issue while window *n* is still being unpacked (the
-/// variable-shift variant of this kernel measured slower than scalar for
-/// exactly that reason — conditional moves serialized what speculation
-/// had parallelized).
-///
-/// * mask all-clear — eight 1-byte varints: four events, consume 8;
-/// * mask `0x…0080_0000_8000_0080` — the dominant (2-byte delta, 1-byte
-///   insns) run. Its period is 3 bytes, so 24 bytes = three u64 words =
-///   exactly 8 events: when the next two words confirm the pattern (three
-///   per-word masks, one per phase of the cycle), a tight run loop decodes
-///   8 events per 24-byte super-block until a mask breaks, amortizing
-///   dispatch entirely. A lone matching window decodes two events and
-///   consumes 6 (re-aligned, so the next window repeats the same mask);
-/// * mask `0x…0080_0080_0080_0080` — (2-byte delta, 2-byte insns): two
-///   events, consume 8;
-/// * any other mask with no two adjacent continuation bits — mixed 1-/2-
-///   byte varints, peeled one field at a time from the register;
-/// * anything else — a varint of three or more bytes, or fewer than 8
-///   bytes left in the buffer — falls back to the scalar kernel for *one*
-///   event and re-enters the windowed loop.
-///
-/// The fast paths only ever consume complete, well-formed varints that
-/// are fully in bounds, so every `Truncated`/`MalformedVarint` case is
-/// reported by the same scalar code path, at the same position.
-fn decode_events_swar<F: FnMut(BranchEvent)>(
-    buf: &[u8],
-    pos: &mut usize,
-    n_events: u64,
-    on_event: &mut F,
-) -> Result<(), CodecError> {
-    /// Continuation bit of every byte in a u64 window.
-    const CONT: u64 = 0x8080_8080_8080_8080;
-    /// Continuation bits of a window holding `[2-byte delta][1-byte insns]`
-    /// events back to back: set on bytes 0, 3, and 6.
-    const MASK_D2_I1: u64 = 0x0080_0000_8000_0080;
-    /// The same periodic (2-byte delta, 1-byte insns) run, continued into
-    /// the second and third 8-byte words of a 24-byte super-block. The
-    /// pattern's period is 3 bytes, so 24 bytes hold exactly 8 events and
-    /// the per-word masks cycle through three phases.
-    const MASK_D2_I1_B: u64 = 0x8000_0080_0000_8000;
-    const MASK_D2_I1_C: u64 = 0x0000_8000_0080_0000;
-    /// Continuation bits of `[2-byte delta][2-byte insns]` events: set on
-    /// bytes 0, 2, 4, and 6.
-    const MASK_D2_I2: u64 = 0x0080_0080_0080_0080;
-
-    /// Two low 7-bit groups of `word` starting at bit `shift`, joined as a
-    /// 2-byte varint value (continuation bits masked off).
-    #[inline(always)]
-    fn pair(word: u64, shift: u32) -> u64 {
-        ((word >> shift) & 0x7f) | ((word >> (shift + 1)) & 0x3f80)
-    }
-
-    let mut prev_pc = 0i64;
-    let mut remaining = n_events;
-    while remaining > 0 {
-        let p = *pos;
-        let Some(window) = buf.get(p..p + 8) else {
-            // Near the end of the buffer: finish through the scalar loop.
-            break;
-        };
-        let word = u64::from_le_bytes(window.try_into().expect("8-byte slice"));
-        let cont = word & CONT;
-
-        if cont == MASK_D2_I1 && remaining >= 2 {
-            // The dominant periodic layout. While the stream keeps the
-            // pattern, decode a 24-byte super-block — exactly 8 events in
-            // three constant-offset word loads (the pattern's 3-byte
-            // period divides 24). No load address depends on a decoded
-            // length, so the loads pipeline across iterations, and the
-            // three mask equalities prove every fixed shift below lands on
-            // the field it assumes.
-            if remaining >= 8 {
-                if let (Some(wb1), Some(wb2)) = (buf.get(p + 8..p + 16), buf.get(p + 16..p + 24)) {
-                    let mut w0 = word;
-                    let mut w1 = u64::from_le_bytes(wb1.try_into().expect("8-byte slice"));
-                    let mut w2 = u64::from_le_bytes(wb2.try_into().expect("8-byte slice"));
-                    if w1 & CONT == MASK_D2_I1_B && w2 & CONT == MASK_D2_I1_C {
-                        // Stay in a tight run loop for as long as the
-                        // stream keeps the pattern: each iteration's block
-                        // address is q + 24, so decode, mask checks and
-                        // the next three loads all overlap.
-                        let mut q = p;
-                        loop {
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(w0, 0)));
-                            on_event(BranchEvent::new(prev_pc as u64, (w0 >> 16) as u32 & 0x7f));
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(w0, 24)));
-                            on_event(BranchEvent::new(prev_pc as u64, (w0 >> 40) as u32 & 0x7f));
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(w0, 48)));
-                            on_event(BranchEvent::new(prev_pc as u64, w1 as u32 & 0x7f));
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(w1, 8)));
-                            on_event(BranchEvent::new(prev_pc as u64, (w1 >> 24) as u32 & 0x7f));
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(w1, 32)));
-                            on_event(BranchEvent::new(prev_pc as u64, (w1 >> 48) as u32 & 0x7f));
-                            // The only field that straddles a word
-                            // boundary: delta low byte 15 (end of w1),
-                            // high byte 16 (start of w2).
-                            let raw = ((w1 >> 56) & 0x7f) | ((w2 & 0x7f) << 7);
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(raw));
-                            on_event(BranchEvent::new(prev_pc as u64, (w2 >> 8) as u32 & 0x7f));
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(w2, 16)));
-                            on_event(BranchEvent::new(prev_pc as u64, (w2 >> 32) as u32 & 0x7f));
-                            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(w2, 40)));
-                            on_event(BranchEvent::new(prev_pc as u64, (w2 >> 56) as u32 & 0x7f));
-                            q += 24;
-                            remaining -= 8;
-                            if remaining < 8 {
-                                break;
-                            }
-                            let Some(nb) = buf.get(q..q + 24) else { break };
-                            let n0 = u64::from_le_bytes(nb[0..8].try_into().expect("8-byte slice"));
-                            let n1 =
-                                u64::from_le_bytes(nb[8..16].try_into().expect("8-byte slice"));
-                            let n2 =
-                                u64::from_le_bytes(nb[16..24].try_into().expect("8-byte slice"));
-                            if n0 & CONT != MASK_D2_I1
-                                || n1 & CONT != MASK_D2_I1_B
-                                || n2 & CONT != MASK_D2_I1_C
-                            {
-                                break;
-                            }
-                            w0 = n0;
-                            w1 = n1;
-                            w2 = n2;
-                        }
-                        *pos = q;
-                        continue;
-                    }
-                }
-            }
-            // Two (2-byte delta, 1-byte insns) events; bytes 6-7 start the
-            // next event and are left for the next window.
-            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(word, 0)));
-            on_event(BranchEvent::new(prev_pc as u64, (word >> 16) as u32 & 0x7f));
-            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(word, 24)));
-            on_event(BranchEvent::new(prev_pc as u64, (word >> 40) as u32 & 0x7f));
-            *pos = p + 6;
-            remaining -= 2;
-            continue;
-        }
-
-        if cont == 0 && remaining >= 4 {
-            // Eight 1-byte varints: four complete events in one load.
-            let b = word.to_le_bytes();
-            for k in 0..4 {
-                prev_pc = prev_pc.wrapping_add(zigzag_decode(u64::from(b[2 * k])));
-                on_event(BranchEvent::new(prev_pc as u64, u32::from(b[2 * k + 1])));
-            }
-            *pos = p + 8;
-            remaining -= 4;
-            continue;
-        }
-
-        if cont == MASK_D2_I2 && remaining >= 2 {
-            // Two (2-byte delta, 2-byte insns) events filling the window.
-            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(word, 0)));
-            on_event(BranchEvent::new(prev_pc as u64, pair(word, 16) as u32));
-            prev_pc = prev_pc.wrapping_add(zigzag_decode(pair(word, 32)));
-            on_event(BranchEvent::new(prev_pc as u64, pair(word, 48) as u32));
-            *pos = p + 8;
-            remaining -= 2;
-            continue;
-        }
-
-        if cont & (cont >> 8) != 0 {
-            // Two adjacent continuation bits: a varint of three or more
-            // bytes somewhere in the window. Decode one event through the
-            // scalar kernel (same error positions), then resume windowed
-            // decode.
-            decode_events_scalar(buf, pos, 1, &mut prev_pc, on_event)?;
-            remaining -= 1;
-            continue;
-        }
-
-        // Aperiodic mix of 1-/2-byte varints: peel fields one at a time
-        // from the register while a max-size (2+2-byte) event still fits.
-        // A field at `off <= 6` may read one byte past itself (masked off
-        // for 1-byte varints), never past the window.
-        let mut off = 0usize;
-        loop {
-            let c0 = (word >> (8 * off + 7)) & 1;
-            let d_len = 1 + c0 as usize;
-            let raw_delta = ((word >> (8 * off)) & 0x7f)
-                | (((word >> (8 * off + 8)) & 0x7f) << 7) & 0u64.wrapping_sub(c0);
-            let o1 = off + d_len;
-            let c1 = (word >> (8 * o1 + 7)) & 1;
-            let insns = ((word >> (8 * o1)) & 0x7f)
-                | (((word >> (8 * o1 + 8)) & 0x7f) << 7) & 0u64.wrapping_sub(c1);
-            prev_pc = prev_pc.wrapping_add(zigzag_decode(raw_delta));
-            on_event(BranchEvent::new(prev_pc as u64, insns as u32));
-            off = o1 + 1 + c1 as usize;
-            remaining -= 1;
-            if off > 4 || remaining == 0 {
-                break;
-            }
-        }
-        *pos = p + off;
-    }
-    // Buffer tail (or an early bail above): scalar, continuing from the
-    // running PC.
-    decode_events_scalar(buf, pos, remaining, &mut prev_pc, on_event)
 }
 
 /// Encodes a recorded trace into a compact binary buffer.
@@ -398,40 +187,33 @@ fn decode_events_swar<F: FnMut(BranchEvent)>(
 /// # Ok::<(), tpcp_trace::CodecError>(())
 /// ```
 pub fn encode_trace(trace: &RecordedTrace) -> Bytes {
-    encode_frames(trace).freeze()
+    encode_frames(trace).0.freeze()
 }
 
 /// Encodes a recorded trace and builds its [`TraceIndex`] in the same
-/// pass: frame offsets are captured as they are written, so the sidecar
-/// costs one checksum sweep instead of a full decode re-walk.
+/// pass: frame offsets are recorded as the frames are written, so the
+/// sidecar costs one checksum sweep instead of a full decode re-walk.
 ///
 /// The payload is byte-identical to [`encode_trace`]'s, and the index is
 /// identical to [`TraceIndex::build`] run over that payload (pinned by
 /// tests).
 pub fn encode_trace_with_index(trace: &RecordedTrace) -> (Bytes, TraceIndex) {
-    let buf = encode_frames(trace);
-    let mut checkpoints = Vec::with_capacity(trace.intervals.len() + 1);
-    let mut offset = 16u64; // magic + n_intervals
-    let (mut events, mut instructions, mut cycles) = (0u64, 0u64, 0u64);
-    for interval in &trace.intervals {
-        checkpoints.push(crate::index::IntervalCheckpoint {
-            byte_offset: offset,
-            events,
-            instructions,
-            cycles,
+    let (buf, offsets) = encode_frames(trace);
+    let mut checkpoints = Vec::with_capacity(offsets.len() + 1);
+    let mut totals = IntervalCheckpoint::default();
+    for (interval, &byte_offset) in trace.intervals.iter().zip(&offsets) {
+        checkpoints.push(IntervalCheckpoint {
+            byte_offset,
+            ..totals
         });
-        offset += frame_len(interval);
-        events += interval.events.len() as u64;
-        instructions += interval.summary.instructions;
-        cycles += interval.summary.cycles;
+        totals.events += interval.events.len() as u64;
+        totals.instructions += interval.summary.instructions;
+        totals.cycles += interval.summary.cycles;
     }
-    checkpoints.push(crate::index::IntervalCheckpoint {
-        byte_offset: offset,
-        events,
-        instructions,
-        cycles,
+    checkpoints.push(IntervalCheckpoint {
+        byte_offset: buf.len() as u64,
+        ..totals
     });
-    debug_assert_eq!(offset as usize, buf.len());
     let payload = buf.freeze();
     let index = TraceIndex {
         payload_len: payload.len() as u64,
@@ -442,12 +224,20 @@ pub fn encode_trace_with_index(trace: &RecordedTrace) -> (Bytes, TraceIndex) {
 }
 
 /// The shared encode loop behind [`encode_trace`] and
-/// [`encode_trace_with_index`].
-fn encode_frames(trace: &RecordedTrace) -> BytesMut {
+/// [`encode_trace_with_index`]. Returns the buffer and the byte offset at
+/// which each interval's frame starts.
+fn encode_frames(trace: &RecordedTrace) -> (BytesMut, Vec<u64>) {
     let mut buf = BytesMut::with_capacity(64 + trace.intervals.len() * 64);
     buf.put_slice(MAGIC);
     buf.put_u64_le(trace.intervals.len() as u64);
+    let mut offsets = Vec::with_capacity(trace.intervals.len());
+    // Per-frame scratch, reused: each distinct pair's id, the pairs in
+    // first-appearance order, and every event's id.
+    let mut id_of: HashMap<BranchEvent, u32> = HashMap::new();
+    let mut pairs: Vec<BranchEvent> = Vec::new();
+    let mut ids: Vec<u32> = Vec::new();
     for interval in &trace.intervals {
+        offsets.push(buf.len() as u64);
         buf.put_u64_le(interval.summary.index);
         buf.put_u64_le(interval.summary.instructions);
         buf.put_u64_le(interval.summary.cycles);
@@ -455,37 +245,33 @@ fn encode_frames(trace: &RecordedTrace) -> BytesMut {
             put_varint(&mut buf, m);
         }
         buf.put_u64_le(interval.events.len() as u64);
+        id_of.clear();
+        pairs.clear();
+        ids.clear();
+        for &ev in &interval.events {
+            let id = *id_of.entry(ev).or_insert_with(|| {
+                pairs.push(ev);
+                u32::try_from(pairs.len() - 1).expect("fewer than 2^32 distinct pairs")
+            });
+            ids.push(id);
+        }
+        put_varint(&mut buf, pairs.len() as u64);
         let mut prev_pc = 0i64;
-        for ev in &interval.events {
+        for ev in &pairs {
             let delta = (ev.pc as i64).wrapping_sub(prev_pc);
             prev_pc = ev.pc as i64;
             put_varint(&mut buf, zigzag_encode(delta));
             put_varint(&mut buf, u64::from(ev.insns));
         }
+        match id_width(pairs.len() as u64) {
+            1 => ids.iter().for_each(|&id| buf.put_u8(id as u8)),
+            2 => ids
+                .iter()
+                .for_each(|&id| buf.put_slice(&(id as u16).to_le_bytes())),
+            _ => ids.iter().for_each(|&id| buf.put_slice(&id.to_le_bytes())),
+        }
     }
-    buf
-}
-
-/// Encoded byte length of one interval frame, mirroring the writes in
-/// [`encode_frames`] without buffering.
-fn frame_len(interval: &RecordedInterval) -> u64 {
-    let mut len = (24 + 8) as u64; // fixed summary + event count
-    for m in interval.summary.metrics.as_array() {
-        len += varint_len(m);
-    }
-    let mut prev_pc = 0i64;
-    for ev in &interval.events {
-        let delta = (ev.pc as i64).wrapping_sub(prev_pc);
-        prev_pc = ev.pc as i64;
-        len += varint_len(zigzag_encode(delta)) + varint_len(u64::from(ev.insns));
-    }
-    len
-}
-
-/// Bytes [`put_varint`] emits for `v`.
-#[inline]
-fn varint_len(v: u64) -> u64 {
-    (64 - v.max(1).leading_zeros() as u64).div_ceil(7)
+    (buf, offsets)
 }
 
 /// Decodes a buffer produced by [`encode_trace`] into a fully materialized
@@ -497,47 +283,62 @@ fn varint_len(v: u64) -> u64 {
 /// # Errors
 ///
 /// Returns [`CodecError`] if the buffer is not a trace, is truncated, or
-/// contains a malformed varint.
+/// contains a malformed varint, an implausible count or an out-of-range
+/// event id.
 pub fn decode_trace(buf: Bytes) -> Result<RecordedTrace, CodecError> {
     let mut decoder = StreamingDecoder::new(&buf)?;
     // Safe to allocate: `StreamingDecoder::new` bounded `n_intervals`
     // against the buffer length.
     let mut intervals = Vec::with_capacity(decoder.n_intervals() as usize);
-    let mut events: Vec<BranchEvent> = Vec::new();
-    while let Some(summary) = decoder.try_next_interval_with(&mut |ev| events.push(ev))? {
-        let hint = events.len();
-        intervals.push(RecordedInterval {
-            events: std::mem::take(&mut events),
-            summary,
-        });
-        // Intervals of a trace are similar in size: sizing each fresh
-        // vector off its predecessor avoids regrowing from empty.
-        events.reserve(hint);
+    loop {
+        let mut events = Vec::new();
+        let Some(summary) = decoder.try_next_interval_into(&mut events)? else {
+            break;
+        };
+        intervals.push(RecordedInterval { events, summary });
     }
     Ok(RecordedTrace { intervals })
 }
 
 /// Validates an encoded trace buffer without materializing anything.
 ///
-/// Walks every interval and event frame, checking magic, bounds, and
-/// varint well-formedness. Returns the interval count on success. This is
-/// what cache readers run before streaming a buffer into live consumers:
-/// it costs one allocation-free pass and guarantees the subsequent replay
-/// cannot fail half-way through.
+/// Walks every interval frame, checking magic, bounds, varint
+/// well-formedness and every event id against its frame's pair table.
+/// Returns the interval count on success. This is what cache readers run
+/// before streaming a buffer into live consumers: it costs one
+/// allocation-free pass and guarantees the subsequent replay cannot fail
+/// half-way through.
 pub fn validate_trace(buf: &[u8]) -> Result<u64, CodecError> {
     let mut decoder = StreamingDecoder::new(buf)?;
-    while decoder.try_next_interval_with(&mut |_| {})?.is_some() {}
+    while decoder.read_frame()?.is_some() {}
     Ok(decoder.intervals_decoded())
+}
+
+/// One frame's event ids, every one already checked against the frame's
+/// pair count.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameIds<'a> {
+    bytes: &'a [u8],
+    /// Bytes per id: 1, 2 or 4.
+    width: usize,
+}
+
+impl FrameIds<'_> {
+    /// Number of events in the frame.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len() / self.width
+    }
 }
 
 /// A streaming, zero-copy decoder over an encoded trace buffer.
 ///
-/// Yields one interval at a time straight off the borrowed bytes: PC
-/// deltas and instruction counts are zigzag/varint-decoded in place and
-/// handed to the caller's event callback, so replaying a multi-gigabyte
-/// trace needs no heap proportional to the trace. An optional scratch
-/// buffer ([`next_interval_buffered`](Self::next_interval_buffered)) is
-/// reused across intervals for callers that want a slice view.
+/// Yields one interval at a time straight off the borrowed bytes: each
+/// frame's pair table is decoded into scratch reused across intervals,
+/// and every event id is looked up in it and handed to the caller's event
+/// callback, so replaying a multi-gigabyte trace needs no heap
+/// proportional to the trace. An optional scratch buffer
+/// ([`next_interval_buffered`](Self::next_interval_buffered)) is reused
+/// across intervals for callers that want a slice view.
 ///
 /// `StreamingDecoder` implements [`IntervalSource`], so it can be driven
 /// through [`drive`](crate::drive) like any replay. Because
@@ -568,11 +369,10 @@ pub struct StreamingDecoder<'a> {
     pos: usize,
     n_intervals: u64,
     decoded: u64,
+    /// The current frame's distinct `(pc, insns)` pairs.
+    pairs: Vec<BranchEvent>,
     scratch: Vec<BranchEvent>,
     error: Option<CodecError>,
-    /// Route event decode through the scalar reference kernel instead of
-    /// the SWAR one (perf comparison lanes, equivalence tests).
-    force_scalar: bool,
 }
 
 impl<'a> StreamingDecoder<'a> {
@@ -580,10 +380,10 @@ impl<'a> StreamingDecoder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::BadMagic`] for a non-trace buffer,
-    /// [`CodecError::Truncated`] for a short header, and
-    /// [`CodecError::ImplausibleLength`] when the declared interval count
-    /// cannot fit in the remaining bytes.
+    /// Returns [`CodecError::BadMagic`] for a non-trace buffer (including
+    /// one in an older trace format), [`CodecError::Truncated`] for a
+    /// short header, and [`CodecError::ImplausibleLength`] when the
+    /// declared interval count cannot fit in the remaining bytes.
     pub fn new(buf: &'a [u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
         let magic = buf.get(..MAGIC.len()).ok_or(CodecError::Truncated)?;
@@ -601,24 +401,10 @@ impl<'a> StreamingDecoder<'a> {
             pos,
             n_intervals,
             decoded: 0,
+            pairs: Vec::new(),
             scratch: Vec::new(),
             error: None,
-            force_scalar: false,
         })
-    }
-
-    /// Forces the scalar event-decode kernel in place of the SWAR one. The
-    /// two kernels are bit-identical in output and error behavior; this
-    /// knob exists so benchmarks and equivalence tests can time or compare
-    /// both in one binary.
-    pub fn force_scalar(&mut self, scalar: bool) {
-        self.force_scalar = scalar;
-    }
-
-    /// Whether the batched SWAR kernel will be used for event decode (not
-    /// overridden by [`force_scalar`](Self::force_scalar)).
-    pub fn uses_simd(&self) -> bool {
-        !self.force_scalar
     }
 
     /// Total intervals the header declares.
@@ -648,9 +434,9 @@ impl<'a> StreamingDecoder<'a> {
     /// `n_intervals` positions at end-of-trace (the next call returns
     /// `None`). Clears any sticky `IntervalSource`-mode error.
     ///
-    /// PC deltas restart from zero at every frame, so no decode state
-    /// from the skipped intervals is needed — a checkpoint is a complete
-    /// resume point.
+    /// Every frame carries its own pair table and restarts its PC deltas
+    /// from zero, so no decode state from the skipped intervals is needed
+    /// — a checkpoint is a complete resume point.
     ///
     /// # Errors
     ///
@@ -684,16 +470,84 @@ impl<'a> StreamingDecoder<'a> {
         self.error.clone()
     }
 
+    /// Reads the next frame: its summary, its pair table (into
+    /// `self.pairs`) and its event ids, each checked against the pair
+    /// count, so a frame that fails delivers no event. `Ok(None)` once
+    /// every declared interval has been read.
+    pub(crate) fn read_frame(
+        &mut self,
+    ) -> Result<Option<(IntervalSummary, FrameIds<'a>)>, CodecError> {
+        if self.decoded >= self.n_intervals {
+            return Ok(None);
+        }
+        let buf = self.buf;
+        let mut pos = self.pos;
+        let index = read_u64_le(buf, &mut pos)?;
+        let instructions = read_u64_le(buf, &mut pos)?;
+        let cycles = read_u64_le(buf, &mut pos)?;
+        let metrics = crate::metrics::MetricCounts {
+            il1_misses: read_varint(buf, &mut pos)?,
+            dl1_misses: read_varint(buf, &mut pos)?,
+            l2_misses: read_varint(buf, &mut pos)?,
+            tlb_misses: read_varint(buf, &mut pos)?,
+            branch_mispredictions: read_varint(buf, &mut pos)?,
+        };
+        let n_events = read_u64_le(buf, &mut pos)?;
+        let n_distinct = read_varint(buf, &mut pos)?;
+        // Every event id takes at least one byte and every pair at least
+        // two, and each pair is some event's.
+        let remaining = (buf.len() - pos) as u64;
+        if n_distinct > n_events || n_events > remaining || n_distinct > (remaining - n_events) / 2
+        {
+            return Err(CodecError::ImplausibleLength);
+        }
+        self.pairs.clear();
+        self.pairs.reserve(n_distinct as usize);
+        let mut prev_pc = 0i64;
+        for _ in 0..n_distinct {
+            let delta = zigzag_decode(read_varint(buf, &mut pos)?);
+            let insns = read_varint(buf, &mut pos)?;
+            prev_pc = prev_pc.wrapping_add(delta);
+            self.pairs
+                .push(BranchEvent::new(prev_pc as u64, insns as u32));
+        }
+        let width = id_width(n_distinct);
+        let end = (n_events as usize)
+            .checked_mul(width)
+            .and_then(|len| len.checked_add(pos))
+            .ok_or(CodecError::Truncated)?;
+        let bytes = buf.get(pos..end).ok_or(CodecError::Truncated)?;
+        let max_id = match width {
+            1 => bytes.iter().copied().max().map(u64::from),
+            2 => bytes
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .max()
+                .map(u64::from),
+            _ => bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .max()
+                .map(u64::from),
+        };
+        if max_id.is_some_and(|id| id >= n_distinct) {
+            return Err(CodecError::EventIdOutOfRange);
+        }
+        self.pos = end;
+        self.decoded += 1;
+        let summary = IntervalSummary::new(index, instructions, cycles).with_metrics(metrics);
+        Ok(Some((summary, FrameIds { bytes, width })))
+    }
+
     /// Decodes the next interval, delivering each event to `on_event` in
     /// program order, then returns the interval summary. `Ok(None)` means
     /// every declared interval has been decoded.
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] on a truncated or malformed frame. Events
-    /// already delivered for the failing interval are not recalled, so
-    /// callers feeding live consumers should pre-validate untrusted
-    /// buffers with [`validate_trace`].
+    /// Returns [`CodecError`] on a truncated or malformed frame. The whole
+    /// frame is checked before its first event is delivered, so a failing
+    /// interval delivers no events.
     pub fn try_next_interval(
         &mut self,
         on_event: &mut dyn FnMut(BranchEvent),
@@ -702,10 +556,9 @@ impl<'a> StreamingDecoder<'a> {
     }
 
     /// [`try_next_interval`](Self::try_next_interval) with a statically
-    /// dispatched callback. Single-consumer hot loops (the perf harness,
-    /// eager decode, and the buffer fill [`drive`](crate::drive) replays
-    /// through) get the event delivery inlined; the `dyn` wrapper above
-    /// serves [`IntervalSource::next_interval`] callers.
+    /// dispatched callback. Single-consumer hot loops (the perf harness)
+    /// get the event delivery inlined; the `dyn` wrapper above serves
+    /// [`IntervalSource::next_interval`] callers.
     ///
     /// # Errors
     ///
@@ -716,47 +569,56 @@ impl<'a> StreamingDecoder<'a> {
         &mut self,
         on_event: &mut F,
     ) -> Result<Option<IntervalSummary>, CodecError> {
-        if self.decoded >= self.n_intervals {
+        let Some((summary, ids)) = self.read_frame()? else {
             return Ok(None);
-        }
-        let buf = self.buf;
-        let pos = &mut self.pos;
-        let index = read_u64_le(buf, pos)?;
-        let instructions = read_u64_le(buf, pos)?;
-        let cycles = read_u64_le(buf, pos)?;
-        let metrics = crate::metrics::MetricCounts {
-            il1_misses: read_varint(buf, pos)?,
-            dl1_misses: read_varint(buf, pos)?,
-            l2_misses: read_varint(buf, pos)?,
-            tlb_misses: read_varint(buf, pos)?,
-            branch_mispredictions: read_varint(buf, pos)?,
         };
-        let n_events = read_u64_le(buf, pos)?;
-        if n_events > ((buf.len() - *pos) / MIN_EVENT_BYTES) as u64 {
-            return Err(CodecError::ImplausibleLength);
+        let pairs = &self.pairs;
+        match ids.width {
+            1 => ids
+                .bytes
+                .iter()
+                .for_each(|&id| on_event(pairs[usize::from(id)])),
+            2 => ids
+                .bytes
+                .chunks_exact(2)
+                .for_each(|c| on_event(pairs[usize::from(u16::from_le_bytes([c[0], c[1]]))])),
+            _ => ids.bytes.chunks_exact(4).for_each(|c| {
+                on_event(pairs[u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize])
+            }),
         }
-        if self.force_scalar {
-            decode_events_scalar(buf, pos, n_events, &mut 0, on_event)?;
-        } else {
-            decode_events_swar(buf, pos, n_events, on_event)?;
-        }
-        self.decoded += 1;
-        Ok(Some(
-            IntervalSummary::new(index, instructions, cycles).with_metrics(metrics),
-        ))
+        Ok(Some(summary))
     }
 
-    /// Decodes the next interval into `events` (cleared first) through the
-    /// statically dispatched path: the one buffer-filling decode, behind
-    /// both [`next_interval_buffered`](Self::next_interval_buffered) and
-    /// the [`IntervalSource::next_interval_into`] override that
-    /// [`drive`](crate::drive) replays through.
+    /// Decodes the next interval into `events` (cleared first) with one
+    /// exact-size extend: the buffer-filling decode behind
+    /// [`decode_trace`], [`next_interval_buffered`](Self::next_interval_buffered)
+    /// and the [`IntervalSource::next_interval_into`] override that
+    /// [`drive`](crate::drive) replays through. The per-event callback
+    /// above gathers on its own: routing it through a buffer costs a
+    /// store and a load per event.
     pub(crate) fn try_next_interval_into(
         &mut self,
         events: &mut Vec<BranchEvent>,
     ) -> Result<Option<IntervalSummary>, CodecError> {
         events.clear();
-        self.try_next_interval_with(&mut |ev| events.push(ev))
+        let Some((summary, ids)) = self.read_frame()? else {
+            return Ok(None);
+        };
+        let pairs = &self.pairs;
+        match ids.width {
+            1 => events.extend(ids.bytes.iter().map(|&id| pairs[usize::from(id)])),
+            2 => events.extend(
+                ids.bytes
+                    .chunks_exact(2)
+                    .map(|c| pairs[usize::from(u16::from_le_bytes([c[0], c[1]]))]),
+            ),
+            _ => events.extend(
+                ids.bytes
+                    .chunks_exact(4)
+                    .map(|c| pairs[u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize]),
+            ),
+        }
+        Ok(Some(summary))
     }
 
     /// Decodes the next interval into an internal scratch buffer that is
@@ -1041,30 +903,93 @@ mod tests {
         assert_eq!(decoded.intervals[0].summary.metrics, metrics);
     }
 
-    /// Streams a buffer through both event-decode kernels, returning
-    /// `(events, summaries)` per kernel, or the first decode error.
-    #[allow(clippy::type_complexity)]
-    fn stream_both_kernels(
-        data: &[u8],
-    ) -> [Result<(Vec<BranchEvent>, Vec<IntervalSummary>), CodecError>; 2] {
-        [false, true].map(|scalar| {
-            let mut decoder = StreamingDecoder::new(data)?;
-            decoder.force_scalar(scalar);
-            let mut events = Vec::new();
-            let mut summaries = Vec::new();
-            while let Some(summary) = decoder.try_next_interval(&mut |ev| events.push(ev))? {
-                summaries.push(summary);
-            }
-            Ok((events, summaries))
-        })
+    /// Everything a decode delivered before it stopped: events and
+    /// summaries, or the error that stopped it.
+    type Decoded = Result<(Vec<BranchEvent>, Vec<IntervalSummary>), CodecError>;
+
+    fn flatten(trace: &RecordedTrace) -> (Vec<BranchEvent>, Vec<IntervalSummary>) {
+        let events = trace
+            .intervals
+            .iter()
+            .flat_map(|iv| iv.events.iter().copied())
+            .collect();
+        let summaries = trace.intervals.iter().map(|iv| iv.summary).collect();
+        (events, summaries)
     }
 
+    /// Decodes `data` through the callback, buffered and eager paths,
+    /// asserts that they and [`validate_trace`] agree, and returns the
+    /// shared result.
+    fn decode_all_paths(data: &[u8]) -> Decoded {
+        let streamed = StreamingDecoder::new(data).and_then(|mut decoder| {
+            let (mut events, mut summaries) = (Vec::new(), Vec::new());
+            while let Some(s) = decoder.try_next_interval(&mut |ev| events.push(ev))? {
+                summaries.push(s);
+            }
+            Ok((events, summaries))
+        });
+        let buffered = StreamingDecoder::new(data).and_then(|mut decoder| {
+            let (mut events, mut summaries) = (Vec::new(), Vec::new());
+            while let Some((evs, s)) = decoder.next_interval_buffered()? {
+                events.extend_from_slice(evs);
+                summaries.push(s);
+            }
+            Ok((events, summaries))
+        });
+        let eager = decode_trace(Bytes::from(data.to_vec())).map(|t| flatten(&t));
+        assert_eq!(streamed, buffered, "callback and buffered decode disagree");
+        assert_eq!(streamed, eager, "streaming and eager decode disagree");
+        assert_eq!(
+            validate_trace(data),
+            streamed
+                .as_ref()
+                .map(|(_, s)| s.len() as u64)
+                .map_err(Clone::clone),
+            "validate_trace disagrees with decode"
+        );
+        streamed
+    }
+
+    /// One interval whose events cycle twice through `n_distinct`
+    /// distinct `(pc, insns)` pairs.
+    fn one_interval(n_distinct: u64) -> RecordedTrace {
+        let events = (0..2 * n_distinct)
+            .map(|i| {
+                let k = i % n_distinct;
+                BranchEvent::new(0x40_0000 + k * 0x80, (k % 300 + 1) as u32)
+            })
+            .collect();
+        RecordedTrace {
+            intervals: vec![RecordedInterval {
+                events,
+                summary: IntervalSummary::new(0, 1_000, 2_000),
+            }],
+        }
+    }
+
+    /// Byte offset of the first interval's `n_distinct` varint when its
+    /// metrics are all zero: magic, count, summary, metrics, n_events.
+    const FIRST_N_DISTINCT: usize = 8 + 8 + 24 + 5 + 8;
+
     #[test]
-    fn simd_swar_decode_matches_scalar_on_sample() {
-        let data = encode_trace(&sample());
-        let [swar, scalar] = stream_both_kernels(&data);
-        assert_eq!(swar, scalar);
-        assert!(swar.is_ok());
+    fn dict_round_trip_at_every_id_width() {
+        for (n_distinct, width) in [(0, 1), (1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+            let trace = one_interval(n_distinct);
+            let data = encode_trace(&trace);
+            assert_eq!(
+                decode_all_paths(&data),
+                Ok(flatten(&trace)),
+                "{n_distinct} pairs"
+            );
+            // The id run closes the frame: ids 0..n, twice, `width` bytes
+            // each.
+            let ids: Vec<u64> = data[data.len() - 2 * n_distinct as usize * width..]
+                .chunks_exact(width)
+                .map(|c| c.iter().rev().fold(0, |id, &b| id << 8 | u64::from(b)))
+                .collect();
+            let want: Vec<u64> = (0..n_distinct).chain(0..n_distinct).collect();
+            assert_eq!(ids, want, "{n_distinct} pairs: ids of width {width}");
+        }
     }
 
     /// A trace exercising every varint width: tiny PC deltas (1-byte),
@@ -1104,56 +1029,100 @@ mod tests {
     }
 
     #[test]
-    fn simd_swar_decode_matches_scalar_on_mixed_varint_widths() {
+    fn dict_mixed_varint_widths_round_trip() {
         let trace = mixed_width_trace();
-        let data = encode_trace(&trace);
-        let [swar, scalar] = stream_both_kernels(&data);
-        assert_eq!(swar, scalar);
-        let (events, _) = swar.unwrap();
-        let want: Vec<_> = trace
-            .intervals
-            .iter()
-            .flat_map(|iv| iv.events.iter().copied())
-            .collect();
-        assert_eq!(events, want);
+        assert_eq!(decode_all_paths(&encode_trace(&trace)), Ok(flatten(&trace)));
     }
 
     #[test]
-    fn simd_swar_decode_agrees_with_scalar_at_every_truncation_boundary() {
-        // Both kernels must report the *same* error for a cut anywhere in
-        // the buffer: the SWAR windows only consume complete in-bounds
-        // varints, so every truncation funnels into the shared scalar
-        // error path.
-        let data = encode_trace(&mixed_width_trace());
-        for cut in 0..data.len() {
-            let [swar, scalar] = stream_both_kernels(&data[..cut]);
-            assert_eq!(swar, scalar, "kernels disagree at cut {cut}");
-            assert!(swar.is_err(), "cut at {cut} must fail");
+    fn dict_truncation_at_every_byte_agrees() {
+        // A cut anywhere strictly inside the buffer fails every decode
+        // path with the same error, in both 1- and 2-byte id frames.
+        for trace in [mixed_width_trace(), one_interval(257)] {
+            let data = encode_trace(&trace);
+            for cut in 0..data.len() {
+                assert!(decode_all_paths(&data[..cut]).is_err(), "cut at {cut}");
+            }
+            assert!(decode_all_paths(&data).is_ok());
         }
-        let [swar, scalar] = stream_both_kernels(&data);
-        assert_eq!(swar, scalar);
-        assert!(swar.is_ok());
     }
 
     #[test]
-    fn simd_swar_decode_rejects_overlong_varints_like_scalar() {
-        // An overlong varint planted mid-event-stream must surface as
-        // MalformedVarint from both kernels. Plant it as the first event's
-        // delta varint of the first interval of the sample trace.
+    fn dict_event_id_out_of_range_is_rejected_before_delivery() {
+        let trace = sample();
+        let last = trace.intervals.last().expect("sample has intervals");
+        let mut pairs: Vec<BranchEvent> = last.events.clone();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let n_distinct = pairs.len();
+        assert!(n_distinct < 256, "sample frames use 1-byte ids");
+        let delivered_before = flatten(&trace).0.len() - last.events.len();
+        for bad in [n_distinct as u8, u8::MAX] {
+            // The last event's id is the buffer's last byte.
+            let mut data = encode_trace(&trace).to_vec();
+            *data.last_mut().expect("non-empty") = bad;
+            assert_eq!(decode_all_paths(&data), Err(CodecError::EventIdOutOfRange));
+            // No event of the failing interval reaches the callback.
+            let mut decoder = StreamingDecoder::new(&data).unwrap();
+            let mut delivered = 0usize;
+            while let Ok(Some(_)) = decoder.try_next_interval(&mut |_| delivered += 1) {}
+            assert_eq!(delivered, delivered_before);
+        }
+    }
+
+    #[test]
+    fn dict_more_pairs_than_events_is_implausible() {
+        // 6 events over 3 pairs; a declared pair count past the event
+        // count, or past what the buffer could hold, is rejected before
+        // the pair table is allocated.
+        let data = encode_trace(&one_interval(3));
+        assert_eq!(data[FIRST_N_DISTINCT], 3);
+        for n_distinct in [7u64, u64::MAX] {
+            let mut bad = data[..FIRST_N_DISTINCT].to_vec();
+            let mut varint = BytesMut::new();
+            put_varint(&mut varint, n_distinct);
+            bad.extend_from_slice(varint.as_slice());
+            bad.extend_from_slice(&data[FIRST_N_DISTINCT + 1..]);
+            assert_eq!(
+                decode_all_paths(&bad),
+                Err(CodecError::ImplausibleLength),
+                "n_distinct {n_distinct}"
+            );
+        }
+    }
+
+    #[test]
+    fn dict_overlong_varint_in_pair_table_rejected() {
+        // An overlong varint planted as the first pair's PC delta must
+        // surface as MalformedVarint from every decode path.
         let mut data = encode_trace(&sample()).to_vec();
-        let first_event = 8 + 8 + 24 + 5 + 8; // magic, count, summary, metrics, n_events
-        data.splice(first_event..first_event + 1, [0xff; 10]);
-        let [swar, scalar] = stream_both_kernels(&data);
-        assert_eq!(swar, scalar);
-        assert_eq!(swar.unwrap_err(), CodecError::MalformedVarint);
+        let first_pair = FIRST_N_DISTINCT + 1;
+        data.splice(first_pair..first_pair + 1, [0xff; 10]);
+        assert_eq!(decode_all_paths(&data), Err(CodecError::MalformedVarint));
+    }
+
+    #[test]
+    fn dict_byte_flips_never_panic() {
+        // Any single flipped byte decodes or fails with a structured
+        // error, the same on every path.
+        let data = encode_trace(&sample());
+        for i in 0..data.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut flipped = data.to_vec();
+                flipped[i] ^= mask;
+                let _ = decode_all_paths(&flipped);
+            }
+        }
     }
 
     #[test]
     fn v1_buffers_are_rejected_cleanly() {
-        // An old-format buffer must fail with BadMagic (callers re-simulate)
-        // rather than mis-decode.
-        let mut data = encode_trace(&sample()).to_vec();
-        data[7] = b'1'; // TPCPTRC2 -> TPCPTRC1
-        assert_eq!(decode_trace(Bytes::from(data)), Err(CodecError::BadMagic));
+        // An older-format buffer (TPCPTRC1 or TPCPTRC2) must fail with
+        // BadMagic (callers re-simulate) rather than mis-decode.
+        for version in [b'1', b'2'] {
+            let mut data = encode_trace(&sample()).to_vec();
+            data[7] = version;
+            assert_eq!(decode_all_paths(&data), Err(CodecError::BadMagic));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Per-trace interval index: the seek substrate for sampled replay.
 //!
 //! An encoded trace ([`encode_trace`](crate::encode_trace)) is a purely
-//! sequential format — varint event frames mean interval *i*'s byte
+//! sequential format — variable-length frames mean interval *i*'s byte
 //! position depends on every frame before it. That is fine for full
 //! replay, but a sampled replay that wants intervals `{17, 903, 2044}`
 //! should not have to decode the 2041 intervals it is skipping.
@@ -9,10 +9,11 @@
 //! [`TraceIndex`] fixes that with one checkpoint per interval *boundary*
 //! (`n_intervals + 1` of them): the byte offset where the interval's frame
 //! starts, plus running event / instruction / cycle totals up to that
-//! boundary. Because the codec resets its PC-delta base at every interval
-//! frame, a frame boundary is a self-contained decode entry point —
-//! [`StreamingDecoder::seek_to_interval`] just moves the cursor and
-//! resumes zero-copy decode, bit-identical to having streamed there.
+//! boundary. Because every interval frame carries its own pair table and
+//! restarts its PC deltas, a frame boundary is a self-contained decode
+//! entry point — [`StreamingDecoder::seek_to_interval`] just moves the
+//! cursor and resumes zero-copy decode, bit-identical to having streamed
+//! there.
 //!
 //! The running totals make the index useful beyond seeking: whole-run and
 //! per-interval CPI fall out of checkpoint differences without touching
@@ -93,7 +94,7 @@ impl core::fmt::Display for IndexError {
 impl std::error::Error for IndexError {}
 
 /// Checksum tying a sidecar to its payload bytes: an FNV-style mix over
-/// 8-byte words (fast enough to be cheaper than re-walking every varint,
+/// 8-byte words (fast enough to be cheaper than re-walking every frame,
 /// which is the point of having a sidecar at all), folded with the length
 /// so truncation to a word boundary still changes the digest.
 pub(crate) fn payload_checksum(buf: &[u8]) -> u64 {
@@ -178,8 +179,9 @@ impl TraceIndex {
                 instructions,
                 cycles,
             });
-            match decoder.try_next_interval_with(&mut |_| events += 1)? {
-                Some(summary) => {
+            match decoder.read_frame()? {
+                Some((summary, ids)) => {
+                    events += ids.len() as u64;
                     instructions += summary.instructions;
                     cycles += summary.cycles;
                 }
@@ -360,7 +362,7 @@ impl TraceIndex {
     /// Ties this index to a payload: length, checksum, and the payload
     /// header's declared interval count must all agree. A sidecar passing
     /// this is byte-for-byte the one built from exactly these payload
-    /// bytes, so cached hits can skip the full varint re-walk.
+    /// bytes, so cached hits can skip the full frame re-walk.
     ///
     /// # Errors
     ///
@@ -614,11 +616,6 @@ impl<'a> PlannedReplay<'a> {
     /// Intervals this plan decodes in total.
     pub fn intervals_planned(&self) -> u64 {
         self.ranges.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// Access to the wrapped decoder (kernel-selection knobs, progress).
-    pub fn decoder_mut(&mut self) -> &mut StreamingDecoder<'a> {
-        &mut self.decoder
     }
 }
 

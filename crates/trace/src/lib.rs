@@ -55,7 +55,7 @@ mod synthetic;
 pub use bbv::{Bbv, BbvBuilder, BbvTrace};
 pub use codec::{
     decode_trace, encode_trace, encode_trace_with_index, validate_trace, CodecError,
-    StreamingDecoder,
+    StreamingDecoder, TRACE_FORMAT,
 };
 pub use event::BranchEvent;
 pub use frame::{wire, FrameDecoder, FrameError, FrameReader, FrameWriter, FRAME_MAX};

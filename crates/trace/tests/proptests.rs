@@ -308,128 +308,176 @@ proptest! {
     }
 }
 
-/// Scalar-vs-SWAR decode equivalence, generative twin of the unit tests in
-/// `codec.rs`: run-structured event streams must decode identically through
-/// both kernels, on the intact buffer, at every truncation boundary, and
-/// under byte flips.
-mod simd {
+/// The dictionary-coded frame format, generatively: frames at every event
+/// id width (up to 256 distinct pairs, up to 65,536, and more) and empty
+/// frames round-trip through every decode path, and a cut or flipped byte
+/// anywhere fails the same structured way on each.
+mod dict {
     use super::*;
-    use tpcp_trace::{CodecError, IntervalSummary};
+    use proptest::runner::TestCaseError;
+    use tpcp_trace::{CodecError, IntervalSummary, RecordedInterval};
 
-    /// Runs of 1-40 events that each keep one varint byte layout, as a
-    /// phase's branch stream does. The SWAR kernel dispatches on that
-    /// layout, so streams of independent full-width PCs (every delta a
-    /// ~10-byte varint) would only ever reach its fallback. Layouts, as
-    /// (zigzag PC-delta bytes, insns bytes): 0 = (1, 1), 1 = (2, 1),
-    /// 2 = (2, 2), 3 = a mix of 1- and 2-byte fields, 4 = wide fields of
-    /// three or more bytes.
-    fn arb_run_stream(
-        runs: std::ops::Range<usize>,
-    ) -> impl Strategy<Value = Vec<(BranchEvent, u64)>> {
-        let run = (
-            0u8..5,
-            prop::collection::vec((any::<u64>(), any::<u32>(), 0u64..5_000), 1..41),
+    /// One frame's shape: distinct-pair count, extra events re-using
+    /// those pairs, and a seed for PCs, instruction counts and order.
+    type FrameSpec = (u64, u64, u64);
+
+    /// Frame shapes. The pair count is 0 (an empty frame) or lands in the
+    /// 1-byte id range, the 2-byte range, or (when `wide`) the 4-byte
+    /// range.
+    fn arb_frame(wide: bool) -> impl Strategy<Value = FrameSpec> {
+        let classes = if wide { 9u8 } else { 8 };
+        (0..classes, any::<u64>(), 0u64..100, any::<u64>()).prop_map(
+            |(class, raw, repeats, seed)| {
+                let n_distinct = match class {
+                    0 => 0,
+                    1..=4 => 1 + raw % 256,
+                    5..=7 => 257 + raw % 64,
+                    _ => 65_537 + raw % 64,
+                };
+                (n_distinct, repeats, seed)
+            },
+        )
+    }
+
+    /// Builds the trace the specs describe. Each frame's pairs have
+    /// distinct PCs (basic blocks 0x80 apart with occasional wide jumps,
+    /// first used partly out of order, so PC deltas go both ways) and
+    /// instruction counts from 1 to `u32::MAX`; new pairs and re-uses of
+    /// earlier ones interleave.
+    fn build(frames: &[FrameSpec]) -> RecordedTrace {
+        let intervals = frames
+            .iter()
+            .enumerate()
+            .map(|(i, &(n_distinct, repeats, seed))| {
+                let mut x = seed | 1;
+                let mut next = move || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                };
+                let mut pc = next() >> 8;
+                let mut pairs: Vec<BranchEvent> = (0..n_distinct)
+                    .map(|_| {
+                        let r = next();
+                        pc += if r % 16 == 0 {
+                            r >> 40
+                        } else {
+                            0x80 * (1 + (r >> 8) % 4)
+                        };
+                        let insns = if r % 8 == 1 {
+                            (r >> 16) as u32
+                        } else {
+                            1 + (r >> 20) as u32 % 300
+                        };
+                        BranchEvent::new(pc, insns)
+                    })
+                    .collect();
+                for k in 1..pairs.len() {
+                    if next() % 4 == 0 {
+                        pairs.swap(k - 1, k);
+                    }
+                }
+                let repeats = if n_distinct == 0 { 0 } else { repeats };
+                let mut events = Vec::with_capacity((n_distinct + repeats) as usize);
+                let (mut introduced, mut left) = (0usize, repeats);
+                while introduced < pairs.len() || left > 0 {
+                    let r = next();
+                    if introduced < pairs.len() && (introduced == 0 || left == 0 || r % 2 == 0) {
+                        events.push(pairs[introduced]);
+                        introduced += 1;
+                    } else {
+                        events.push(pairs[(r >> 1) as usize % introduced]);
+                        left -= 1;
+                    }
+                }
+                let instructions = events.iter().map(|e| u64::from(e.insns)).sum();
+                RecordedInterval {
+                    events,
+                    summary: IntervalSummary::new(i as u64, instructions, seed % 1_000_000),
+                }
+            })
+            .collect();
+        RecordedTrace { intervals }
+    }
+
+    /// Everything a decode delivered: events and summaries, or the error
+    /// that stopped it.
+    type Decoded = Result<(Vec<BranchEvent>, Vec<IntervalSummary>), CodecError>;
+
+    fn flatten(trace: &RecordedTrace) -> (Vec<BranchEvent>, Vec<IntervalSummary>) {
+        let events = trace
+            .intervals
+            .iter()
+            .flat_map(|iv| iv.events.iter().copied())
+            .collect();
+        let summaries = trace.intervals.iter().map(|iv| iv.summary).collect();
+        (events, summaries)
+    }
+
+    /// Decodes `data` through the streaming callback, the buffered
+    /// streaming path and the eager decoder, checks that they and
+    /// `validate_trace` agree, and returns the shared result.
+    fn decode_all_paths(data: &[u8]) -> Result<Decoded, TestCaseError> {
+        let streamed: Decoded = StreamingDecoder::new(data).and_then(|mut decoder| {
+            let (mut events, mut summaries) = (Vec::new(), Vec::new());
+            while let Some(s) = decoder.try_next_interval(&mut |ev| events.push(ev))? {
+                summaries.push(s);
+            }
+            Ok((events, summaries))
+        });
+        let buffered: Decoded = StreamingDecoder::new(data).and_then(|mut decoder| {
+            let (mut events, mut summaries) = (Vec::new(), Vec::new());
+            while let Some((evs, s)) = decoder.next_interval_buffered()? {
+                events.extend_from_slice(evs);
+                summaries.push(s);
+            }
+            Ok((events, summaries))
+        });
+        let eager = decode_trace(data.to_vec().into()).map(|t| flatten(&t));
+        prop_assert_eq!(&streamed, &buffered);
+        prop_assert_eq!(&streamed, &eager);
+        prop_assert_eq!(
+            validate_trace(data),
+            streamed
+                .as_ref()
+                .map(|(_, s)| s.len() as u64)
+                .map_err(Clone::clone)
         );
-        prop::collection::vec(run, runs).prop_map(|runs| {
-            // One or two varint bytes, chosen by the low bit.
-            let small = |x: u64| {
-                if x & 1 == 0 {
-                    (x >> 1) % 0x80
-                } else {
-                    0x80 + (x >> 1) % 0x3f80
-                }
-            };
-            let mut pc = 0x4000u64;
-            let mut events = Vec::new();
-            for (layout, raw) in runs {
-                for (a, b, cycles) in raw {
-                    let b = u64::from(b);
-                    let (zigzag, insns) = match layout {
-                        0 => (a % 0x80, 1 + b % 0x7f),
-                        1 => (0x80 + a % 0x3f80, 1 + b % 0x7f),
-                        2 => (0x80 + a % 0x3f80, 0x80 + b % 0x3f80),
-                        3 => (small(a), small(b).max(1)),
-                        _ => ((a >> (b % 50)).max(0x4000), b.max(0x4000)),
-                    };
-                    let delta = (zigzag >> 1) ^ (zigzag & 1).wrapping_neg();
-                    pc = pc.wrapping_add(delta);
-                    events.push((BranchEvent::new(pc, insns as u32), cycles));
-                }
-            }
-            events
-        })
-    }
-
-    /// Interval sizes from one event per interval up to one interval for
-    /// the whole stream, so runs of 2-byte insns (up to 16,383 each) still
-    /// fill intervals with many events.
-    fn arb_interval_size() -> impl Strategy<Value = u64> {
-        prop_oneof![1u64..3_000, 3_000u64..2_000_000]
-    }
-
-    /// What one kernel delivers from `data`: every event and summary up
-    /// to the error that stopped the stream, and that error.
-    type Streamed = (Vec<BranchEvent>, Vec<IntervalSummary>, Option<CodecError>);
-
-    fn stream(data: &[u8], scalar: bool) -> Streamed {
-        let mut events = Vec::new();
-        let mut summaries = Vec::new();
-        let mut decoder = match StreamingDecoder::new(data) {
-            Ok(decoder) => decoder,
-            Err(e) => return (events, summaries, Some(e)),
-        };
-        decoder.force_scalar(scalar);
-        loop {
-            match decoder.try_next_interval(&mut |ev| events.push(ev)) {
-                Ok(Some(summary)) => summaries.push(summary),
-                Ok(None) => return (events, summaries, None),
-                Err(e) => return (events, summaries, Some(e)),
-            }
-        }
+        Ok(streamed)
     }
 
     proptest! {
-        /// Both kernels deliver the same event stream on any well-formed
-        /// buffer, and the SWAR stream reproduces the original events.
+        /// Every frame shape round-trips through every decode path, and
+        /// cuts at sampled positions fail the same way on each.
         #[test]
-        fn simd_swar_decode_equals_scalar_on_arbitrary_streams(
-            events in arb_run_stream(0..12),
-            interval_size in arb_interval_size(),
+        fn dict_frames_round_trip_at_every_id_width(
+            frames in prop::collection::vec(arb_frame(true), 0..4),
+            cuts in prop::collection::vec(any::<u64>(), 8),
         ) {
-            let trace = RecordedTrace::record(IntervalCutter::from_iter(interval_size, events));
+            let trace = build(&frames);
             let data = encode_trace(&trace);
-            let swar = stream(&data, false);
-            prop_assert_eq!(&swar, &stream(&data, true));
-            let (got, _, error) = swar;
-            prop_assert_eq!(error, None);
-            let want: Vec<BranchEvent> = trace
-                .intervals
-                .iter()
-                .flat_map(|iv| iv.events.iter().copied())
-                .collect();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(decode_all_paths(&data)?, Ok(flatten(&trace)));
+            for cut in cuts {
+                let cut = (cut % data.len() as u64) as usize;
+                prop_assert!(decode_all_paths(&data[..cut])?.is_err(), "cut at {} must fail", cut);
+            }
         }
 
-        /// Truncating an encoded trace anywhere, with or without XOR byte
-        /// flips, yields the same delivered events, the same summaries and
-        /// the same error from both kernels: the SWAR fast paths only
-        /// consume complete in-bounds varints, so every failure funnels
-        /// through the shared scalar error path at the same position.
+        /// Truncating an encoded trace at every byte, with or without XOR
+        /// byte flips, yields the same delivered events, summaries and
+        /// error on every decode path, and never a panic.
         #[test]
-        fn simd_swar_decode_agrees_with_scalar_under_truncation(
-            events in arb_run_stream(1..6),
-            interval_size in arb_interval_size(),
+        fn dict_truncation_and_flips_agree_on_every_path(
+            frame in arb_frame(false),
             flips in prop::collection::vec(
                 (any::<usize>(), any::<u8>().prop_map(|mask| mask.max(1))),
                 1..4,
             ),
         ) {
-            let trace = RecordedTrace::record(IntervalCutter::from_iter(interval_size, events));
-            let data = encode_trace(&trace);
+            let data = encode_trace(&build(&[frame]));
             for cut in 0..data.len() {
-                let swar = stream(&data[..cut], false);
-                prop_assert_eq!(&swar, &stream(&data[..cut], true));
-                prop_assert!(swar.2.is_some(), "cut at {} must fail", cut);
+                prop_assert!(decode_all_paths(&data[..cut])?.is_err(), "cut at {} must fail", cut);
             }
             let mut flipped = data.to_vec();
             for &(pos, mask) in &flips {
@@ -437,7 +485,7 @@ mod simd {
                 flipped[i] ^= mask;
             }
             for cut in 0..=flipped.len() {
-                prop_assert_eq!(stream(&flipped[..cut], false), stream(&flipped[..cut], true));
+                let _ = decode_all_paths(&flipped[..cut])?;
             }
         }
     }
