@@ -145,6 +145,20 @@ impl AccumulatorTable {
         self.total += u64::from(ev.insns);
     }
 
+    /// Records `count` executions of one block at once: hashes the PC
+    /// once and adds `insns × count`, the product saturating and the
+    /// counter clamped once. A chain of saturating adds of non-negative
+    /// values equals one clamp of their sum, so this leaves the state
+    /// `count` calls to [`observe`](Self::observe) would.
+    #[inline]
+    pub(crate) fn observe_weighted(&mut self, ev: BranchEvent, count: u64) {
+        let add = u64::from(ev.insns).saturating_mul(count);
+        let idx = self.index_of(ev.pc);
+        let c = &mut self.counters[idx];
+        *c = c.saturating_add(add).min(COUNTER_MAX);
+        self.total += add;
+    }
+
     /// Folds this table into the narrower `narrow` (see [`fold_counts`]);
     /// the instruction total carries over.
     pub(crate) fn fold_into(&self, narrow: &mut Self) {

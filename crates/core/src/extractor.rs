@@ -28,7 +28,7 @@
 //!
 //! [`PhaseClassifier::end_interval_from`]: crate::PhaseClassifier::end_interval_from
 
-use tpcp_trace::BranchEvent;
+use tpcp_trace::{BranchEvent, Frame};
 
 use crate::accumulator::{fold_buckets, fold_counts, mix64, AccumulatorTable, COUNTER_MAX};
 use crate::config::{BitSelectionMode, ClassifierConfig};
@@ -122,6 +122,16 @@ pub trait FeatureExtractor {
     /// per-event fast path.
     fn observe(&mut self, ev: BranchEvent);
 
+    /// Records a whole interval's branches at once, leaving the same state
+    /// as [`observe`](Self::observe) on each event in program order (the
+    /// default does exactly that). The crate's back-ends override it to
+    /// hash each of the frame's pairs once instead of every event, which
+    /// must stay exact when the pair list repeats a pair, and must leave a
+    /// pair with count 0 untouched.
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        frame.for_each_event(|ev| self.observe(ev));
+    }
+
     /// Projects the finished interval's state into a signature, recycling
     /// `buf` as the dimension storage. Must not mutate the extractor:
     /// several classifiers may read one shared instance at a boundary.
@@ -159,6 +169,12 @@ impl FeatureExtractor for AccumulatorTable {
     #[inline]
     fn observe(&mut self, ev: BranchEvent) {
         AccumulatorTable::observe(self, ev);
+    }
+
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        for (ev, count) in frame.weighted() {
+            self.observe_weighted(ev, count);
+        }
     }
 
     fn finalize_into(&self, config: &ClassifierConfig, buf: Vec<u16>) -> Signature {
@@ -291,6 +307,14 @@ impl FeatureExtractor for WorkingSetExtractor {
         if *slot == 0 {
             *slot = 1;
             self.regions += 1;
+        }
+    }
+
+    /// Marks each pair that stands for at least one event: marking is
+    /// idempotent, so once per pair is what every event's mark leaves.
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        for (ev, _) in frame.weighted() {
+            self.observe(ev);
         }
     }
 
@@ -434,6 +458,35 @@ impl FeatureExtractor for BranchMixExtractor {
         self.total += 1;
     }
 
+    /// Walks the id run once, tallying each pair's taken events from the
+    /// pairs' PCs and carrying `last_pc` (the rest of its count is
+    /// not-taken), then hashes each pair that stands for an event once and
+    /// adds both tallies, each clamped once (a chain of saturating adds of
+    /// non-negative values equals one clamp of their sum).
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        let mut tally: Vec<[u64; 2]> = frame.pairs().iter().map(|ev| [ev.pc, 0]).collect();
+        let mut last_pc = self.last_pc;
+        frame.for_each_id(|id| {
+            let [pc, taken] = &mut tally[id];
+            *taken += u64::from(*pc <= last_pc);
+            last_pc = *pc;
+        });
+        self.last_pc = last_pc;
+        for ([pc, taken], &count) in tally.into_iter().zip(frame.counts()) {
+            if count == 0 {
+                continue;
+            }
+            let bucket = (mix64(pc) & self.index_mask) as usize;
+            for (c, n) in self.counters[2 * bucket..][..2]
+                .iter_mut()
+                .zip([taken, count - taken])
+            {
+                *c = (*c + n).min(COUNTER_MAX);
+            }
+        }
+        self.total += frame.len() as u64;
+    }
+
     fn finalize_into(&self, config: &ClassifierConfig, buf: Vec<u16>) -> Signature {
         // Average branch count per dimension, with the same shift
         // semantics as the accumulator table's dynamic selection.
@@ -489,22 +542,6 @@ impl AnyExtractor {
         }
     }
 
-    /// Records one interval's branches in program order, the same as
-    /// [`FeatureExtractor::observe`] on each, with the back-end dispatched
-    /// once per slice instead of once per event.
-    pub fn observe_batch(&mut self, events: &[BranchEvent]) {
-        fn each<E: FeatureExtractor>(x: &mut E, events: &[BranchEvent]) {
-            for &ev in events {
-                x.observe(ev);
-            }
-        }
-        match self {
-            AnyExtractor::Bbv(x) => each(x, events),
-            AnyExtractor::WorkingSet(x) => each(x, events),
-            AnyExtractor::BranchMix(x) => each(x, events),
-        }
-    }
-
     /// Appends this extractor (kind tag + state) to a snapshot.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
         match self {
@@ -557,6 +594,16 @@ impl FeatureExtractor for AnyExtractor {
             AnyExtractor::Bbv(x) => FeatureExtractor::observe(x, ev),
             AnyExtractor::WorkingSet(x) => x.observe(ev),
             AnyExtractor::BranchMix(x) => x.observe(ev),
+        }
+    }
+
+    /// Records one interval's frame, with the back-end dispatched once per
+    /// frame instead of once per event.
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        match self {
+            AnyExtractor::Bbv(x) => x.observe_frame(frame),
+            AnyExtractor::WorkingSet(x) => x.observe_frame(frame),
+            AnyExtractor::BranchMix(x) => x.observe_frame(frame),
         }
     }
 

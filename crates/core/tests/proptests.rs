@@ -1,11 +1,15 @@
 //! Property-based tests for classifier invariants.
 
 use proptest::prelude::*;
+use proptest::runner::TestCaseError;
 use tpcp_core::{
-    AccumulatorTable, BitSelection, BitSelectionMode, ClassifierConfig, ExtractorKind,
-    FeatureExtractor, PhaseClassifier, PhaseId, Signature,
+    AccumulatorTable, AnyExtractor, BitSelection, BitSelectionMode, ClassifierConfig,
+    ExtractorKind, FeatureExtractor, PhaseClassifier, PhaseId, Signature,
 };
-use tpcp_trace::BranchEvent;
+use tpcp_trace::{
+    encode_trace, BranchEvent, Frame, IntervalSource, IntervalSummary, RecordedInterval,
+    RecordedTrace, StreamingDecoder,
+};
 
 fn arb_events() -> impl Strategy<Value = Vec<BranchEvent>> {
     prop::collection::vec(
@@ -147,7 +151,9 @@ proptest! {
         ];
         for kind in ExtractorKind::ALL {
             let mut wide = kind.build(64);
-            wide.observe_batch(&events);
+            for &ev in &events {
+                wide.observe(ev);
+            }
             let narrowest = if kind == ExtractorKind::BranchMix { 2 } else { 1 };
             let mut dims = 64;
             while dims >= narrowest {
@@ -168,6 +174,170 @@ proptest! {
                 }
                 dims /= 2;
             }
+        }
+    }
+}
+
+/// `observe_frame` against per-event `observe`: one frame must leave every
+/// extractor exactly as its events, observed one by one in program order,
+/// would.
+mod frames {
+    use super::*;
+
+    /// One interval's events over `n_pairs` distinct `(pc, insns)` pairs,
+    /// each used at least once, plus `extra` re-uses in shuffled order. PCs
+    /// sit in a small code footprint (buckets collide at every width, and
+    /// the order runs both up and down, so branch-mix sees both
+    /// directions); block sizes run up to `u32::MAX`, so BBV counters
+    /// saturate.
+    fn arb_interval(max_pairs: u64) -> impl Strategy<Value = Vec<BranchEvent>> {
+        (1..max_pairs + 1, 0usize..600, any::<u64>()).prop_map(|(n_pairs, extra, seed)| {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let pairs: Vec<BranchEvent> = (0..n_pairs)
+                .map(|i| {
+                    let insns = match next() % 4 {
+                        0 => u32::MAX,
+                        1 => next() as u32,
+                        _ => 1 + (next() % 500) as u32,
+                    };
+                    BranchEvent::new(0x40_0000 + 4 * i, insns)
+                })
+                .collect();
+            let mut events = pairs.clone();
+            events.extend((0..extra).map(|_| pairs[(next() % n_pairs) as usize]));
+            for k in (1..events.len()).rev() {
+                events.swap(k, (next() % (k as u64 + 1)) as usize);
+            }
+            events
+        })
+    }
+
+    /// A few events observed before the frame: dirty counters, and a
+    /// starting `last_pc` that is zero only when this is empty.
+    fn arb_prefix() -> impl Strategy<Value = Vec<BranchEvent>> {
+        prop::collection::vec(
+            (0u64..1 << 12, 1u32..500).prop_map(|(pc, n)| BranchEvent::new(0x40_0000 + pc * 4, n)),
+            0..6,
+        )
+    }
+
+    /// Every kind at every width from 2 to 64 dims: the prefix observed
+    /// event by event, then the interval as `frame` on one copy and event
+    /// by event on the other; the two must be equal in full state and in
+    /// the signature they finalize to.
+    fn check(
+        prefix: &[BranchEvent],
+        events: &[BranchEvent],
+        frame: &Frame<'_>,
+    ) -> Result<(), TestCaseError> {
+        let mut walked = Vec::new();
+        frame.for_each_event(|ev| walked.push(ev));
+        prop_assert_eq!(&walked[..], events);
+        prop_assert_eq!(frame.counts().iter().sum::<u64>(), events.len() as u64);
+        for kind in ExtractorKind::ALL {
+            let mut dims = 2;
+            while dims <= 64 {
+                let mut by_frame = kind.build(dims);
+                let mut by_event = kind.build(dims);
+                for &ev in prefix {
+                    by_frame.observe(ev);
+                    by_event.observe(ev);
+                }
+                by_frame.observe_frame(frame);
+                for &ev in events {
+                    by_event.observe(ev);
+                }
+                prop_assert!(
+                    by_frame == by_event,
+                    "{kind} at {dims} dims: {by_frame:?} != {by_event:?}"
+                );
+                let config = ClassifierConfig::builder().accumulators(dims).build();
+                prop_assert_eq!(
+                    by_frame.finalize_into(&config, Vec::new()),
+                    by_event.finalize_into(&config, Vec::new())
+                );
+                dims *= 2;
+            }
+        }
+        Ok(())
+    }
+
+    fn one_interval(events: &[BranchEvent]) -> RecordedTrace {
+        RecordedTrace {
+            intervals: vec![RecordedInterval {
+                events: events.to_vec(),
+                summary: IntervalSummary::new(0, 1, 1),
+            }],
+        }
+    }
+
+    proptest! {
+        /// A decoded trace frame (distinct pairs with counts, 1-byte ids
+        /// up to 256 pairs and 2-byte ids past that) and the default
+        /// adapter's frame (every event its own count-1 pair, so pairs
+        /// repeat) both equal the per-event walk.
+        #[test]
+        fn observe_frame_equals_per_event_observe(
+            events in prop_oneof![arb_interval(256), arb_interval(700)],
+            prefix in arb_prefix(),
+        ) {
+            let trace = one_interval(&events);
+            let bytes = encode_trace(&trace);
+            let mut decoder = StreamingDecoder::new(&bytes).unwrap();
+            let (frame, _) = decoder.try_next_frame().unwrap().unwrap();
+            let distinct: std::collections::HashSet<_> = events.iter().collect();
+            prop_assert_eq!(frame.pairs().len(), distinct.len());
+            check(&prefix, &events, &frame)?;
+
+            let mut replay = trace.replay();
+            let (frame, _) = replay.next_frame().unwrap();
+            prop_assert_eq!(frame.pairs(), &events[..]);
+            check(&prefix, &events, &frame)?;
+        }
+    }
+
+    /// A pair that no event id names stands for no event: its count is 0,
+    /// and no extractor touches a counter or bit for it, although the
+    /// same block observed once would.
+    #[test]
+    fn frame_pair_with_count_zero_touches_no_extractor() {
+        let (a, b, unused) = (
+            BranchEvent::new(0x40_0000, 30),
+            BranchEvent::new(0x40_0080, 50),
+            BranchEvent::new(0x7f_0000, 70),
+        );
+        let mut bytes = encode_trace(&one_interval(&[a, b, unused, a])).to_vec();
+        // The id run closes the buffer, one byte per event: point the
+        // third event at pair 0.
+        let third = bytes.len() - 2;
+        assert_eq!(bytes[third], 2);
+        bytes[third] = 0;
+        let mut decoder = StreamingDecoder::new(&bytes).unwrap();
+        let (frame, _) = decoder.try_next_frame().unwrap().unwrap();
+        assert_eq!(frame.pairs(), &[a, b, unused]);
+        assert_eq!(frame.counts(), &[3, 1, 0]);
+        for kind in ExtractorKind::ALL {
+            let mut by_frame = kind.build(64);
+            by_frame.observe_frame(&frame);
+            let walk = |extra: &[BranchEvent]| {
+                let mut x: AnyExtractor = kind.build(64);
+                for &ev in [a, b, a, a].iter().chain(extra) {
+                    x.observe(ev);
+                }
+                x
+            };
+            assert_eq!(by_frame, walk(&[]), "{kind}");
+            assert_ne!(
+                by_frame,
+                walk(&[unused]),
+                "{kind}: the unused block must be visible"
+            );
         }
     }
 }

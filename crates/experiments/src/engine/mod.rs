@@ -58,9 +58,10 @@ use error::{lock_ignore_poison, FailureHandle};
 use sink::{ClassifierLane, ErasedLane, Probe, RawProbe, SimPointLane};
 
 pub use error::{EngineError, FailureCause, FailureReport, LaneFailure, SweepError};
-pub use sink::{BbvSink, SimPointRun};
+pub use sink::SimPointRun;
 pub use sweep::EngineStats;
 pub use telemetry::{CacheCounters, GroupTelemetry, LaneTelemetry, StageNanos, TelemetrySnapshot};
+pub use tpcp_trace::BbvSink;
 
 /// A figure's deferred output: registration happens before the sweep,
 /// table construction after it.

@@ -16,7 +16,7 @@ use tpcp_core::{
 };
 use tpcp_metrics::{CovAccumulator, RunAccumulator};
 use tpcp_simpoint::{SimPointClassifier, SimPointConfig, SimPointResult};
-use tpcp_trace::{BbvBuilder, BbvTrace, BranchEvent, IntervalSink, IntervalSummary};
+use tpcp_trace::{BbvSink, BbvTrace, BranchEvent, Frame, IntervalSink, IntervalSummary};
 
 use crate::classify::ClassifiedRun;
 use crate::engine::error::{EngineError, FailureHandle};
@@ -253,8 +253,8 @@ impl<S: IntervalSink, R, F> IntervalSink for RawProbe<S, R, F> {
         self.sink.observe(ev);
     }
 
-    fn observe_batch(&mut self, events: &[BranchEvent]) {
-        self.sink.observe_batch(events);
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        self.sink.observe_frame(frame);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
@@ -317,6 +317,10 @@ impl IntervalSink for SimPointLane {
         self.bbvs.observe(ev);
     }
 
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        self.bbvs.observe_frame(frame);
+    }
+
     fn end_interval(&mut self, summary: &IntervalSummary) {
         self.bbvs.end_interval(summary);
     }
@@ -360,59 +364,41 @@ where
     }
 }
 
-/// An [`IntervalSink`] that collects per-interval basic block vectors —
-/// the offline (SimPoint-style) classification input — during the same
-/// replay every other lane rides.
-#[derive(Debug, Clone, Default)]
-pub struct BbvSink {
-    builder: BbvBuilder,
-    trace: BbvTrace,
-}
-
-impl BbvSink {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The collected BBV trace.
-    pub fn into_trace(self) -> BbvTrace {
-        self.trace
-    }
-}
-
-impl IntervalSink for BbvSink {
-    fn observe(&mut self, ev: &BranchEvent) {
-        self.builder.observe(*ev);
-    }
-
-    fn end_interval(&mut self, summary: &IntervalSummary) {
-        self.trace.vectors.push(self.builder.finish());
-        self.trace.summaries.push(*summary);
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use tpcp_trace::{drive, IntervalSource, PhaseSpec, SyntheticTrace};
+    use tpcp_trace::{
+        drive, encode_trace, BbvBuilder, IntervalSource, PhaseSpec, StreamingDecoder,
+        SyntheticTrace,
+    };
 
+    /// The sink fed decoded frames (each pair added once, times its
+    /// count) collects the BBVs a builder fed every event does.
     #[test]
     fn bbv_sink_matches_collect() {
         let trace = SyntheticTrace::new(5_000)
             .phase(PhaseSpec::uniform(0x1000, 4, 1.0))
             .schedule(&[(0, 10)])
             .generate();
-        let direct = BbvTrace::collect(trace.replay());
-
-        let mut sink = BbvSink::new();
+        let mut direct = BbvTrace::default();
+        let mut builder = BbvBuilder::new();
         let mut replay = trace.replay();
+        while let Some(summary) = replay.next_interval(&mut |ev| builder.observe(ev)) {
+            direct.vectors.push(builder.finish());
+            direct.summaries.push(summary);
+        }
+
+        let bytes = encode_trace(&trace);
+        let mut sink = BbvSink::new();
+        let mut decoder = StreamingDecoder::new(&bytes).unwrap();
         let mut sinks: Vec<&mut dyn IntervalSink> = vec![&mut sink];
-        drive(&mut replay, &mut sinks);
+        drive(&mut decoder, &mut sinks);
         let via_sink = sink.into_trace();
 
         assert_eq!(direct.vectors, via_sink.vectors);
         assert_eq!(direct.summaries, via_sink.summaries);
+        assert_eq!(BbvTrace::collect(trace.replay()).vectors, direct.vectors);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! workers: the replaying thread broadcasts an [`Arc`]'d per-interval
 //! snapshot over bounded channels and each shard thread classifies its
 //! own lanes. Raw (unclassified) sinks always stay inline with the
-//! replay. [`drive`] decodes each interval once into a reused buffer and
-//! hands every sink the whole slice.
+//! replay. [`drive`] reads each interval once as a [`Frame`] (its
+//! distinct `(pc, insns)` pairs and each pair's count) and hands every
+//! sink the frame, so each kind's extractor hashes each pair once per
+//! interval instead of every event.
 //!
 //! Output is deterministic under any scheduling: every lane lives on
 //! exactly one thread, snapshots arrive in interval order through its
@@ -62,8 +64,8 @@ use std::time::Instant;
 
 use tpcp_core::{AnyExtractor, ExtractorKind, FeatureExtractor};
 use tpcp_trace::{
-    drive, BranchEvent, CodecError, IntervalSink, IntervalSource, IntervalSummary, PlannedReplay,
-    StreamingDecoder, TraceIndex,
+    drive, BranchEvent, CodecError, Frame, IntervalSink, IntervalSource, IntervalSummary,
+    PlannedReplay, StreamingDecoder, TraceIndex,
 };
 
 use crate::engine::error::{
@@ -408,11 +410,18 @@ struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// Feeds one interval's events to each kind's extractor: one `match`
-    /// per kind per slice.
-    fn observe_batch(&mut self, events: &[BranchEvent]) {
+    /// Feeds one event to each kind's extractor.
+    fn observe(&mut self, ev: BranchEvent) {
         for acc in &mut self.accs[..self.observers] {
-            acc.observe_batch(events);
+            acc.observe(ev);
+        }
+    }
+
+    /// Feeds one interval's frame to each kind's extractor: one `match`
+    /// per kind per interval, and each pair hashed once per kind.
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        for acc in &mut self.accs[..self.observers] {
+            acc.observe_frame(frame);
         }
     }
 
@@ -536,11 +545,11 @@ struct SharedFrontEnd<'a> {
 
 impl IntervalSink for SharedFrontEnd<'_> {
     fn observe(&mut self, ev: &BranchEvent) {
-        self.front.observe_batch(std::slice::from_ref(ev));
+        self.front.observe(*ev);
     }
 
-    fn observe_batch(&mut self, events: &[BranchEvent]) {
-        self.front.observe_batch(events);
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        self.front.observe_frame(frame);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
@@ -582,11 +591,11 @@ struct BroadcastFrontEnd<'a> {
 
 impl IntervalSink for BroadcastFrontEnd<'_> {
     fn observe(&mut self, ev: &BranchEvent) {
-        self.front.observe_batch(std::slice::from_ref(ev));
+        self.front.observe(*ev);
     }
 
-    fn observe_batch(&mut self, events: &[BranchEvent]) {
-        self.front.observe_batch(events);
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        self.front.observe_frame(frame);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
@@ -625,27 +634,19 @@ enum GroupReplay<'a> {
 }
 
 impl GroupReplay<'_> {
+    /// The source [`drive`] replays.
+    fn source(&mut self) -> &mut dyn IntervalSource {
+        match self {
+            Self::Full(d) => d,
+            Self::Planned(p) => p,
+        }
+    }
+
     /// The decode error that ended the stream early, if any.
     fn error(&self) -> Option<CodecError> {
         match self {
             Self::Full(d) => d.error(),
             Self::Planned(p) => p.error(),
-        }
-    }
-}
-
-impl IntervalSource for GroupReplay<'_> {
-    fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary> {
-        match self {
-            Self::Full(d) => d.next_interval(on_event),
-            Self::Planned(p) => p.next_interval(on_event),
-        }
-    }
-
-    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
-        match self {
-            Self::Full(d) => d.next_interval_into(events),
-            Self::Planned(p) => p.next_interval_into(events),
         }
     }
 }
@@ -751,7 +752,7 @@ fn replay_group(
             for raw in &mut group.raw {
                 sinks.push(raw.as_mut() as &mut dyn IntervalSink);
             }
-            let intervals = drive(&mut replay, &mut sinks);
+            let intervals = drive(replay.source(), &mut sinks);
             if replay.error().is_some() {
                 // Must be set before the channels close below, so shard
                 // threads observe it when their `recv` loop ends.
@@ -773,7 +774,7 @@ fn replay_group(
         for raw in &mut group.raw {
             sinks.push(raw.as_mut() as &mut dyn IntervalSink);
         }
-        let intervals = drive(&mut replay, &mut sinks);
+        let intervals = drive(replay.source(), &mut sinks);
         drop(sinks);
         if replay.error().is_none() {
             let mark = ctx.collector.mark();

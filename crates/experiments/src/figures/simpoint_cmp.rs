@@ -231,6 +231,7 @@ struct CpiTape {
 
 impl tpcp_trace::IntervalSink for CpiTape {
     fn observe(&mut self, _ev: &tpcp_trace::BranchEvent) {}
+    fn observe_frame(&mut self, _frame: &tpcp_trace::Frame<'_>) {}
     fn end_interval(&mut self, summary: &tpcp_trace::IntervalSummary) {
         self.cpis.push(summary.cpi());
     }

@@ -350,6 +350,85 @@ fn panicking_raw_sink_fails_only_its_group() {
     assert_eq!(unaffected.take(), run_classifier(&trace, config));
 }
 
+/// Raw sinks get each interval as one frame: a sink registered through
+/// `Engine::interval_sink` sees exactly one `observe_frame` per interval
+/// and no per-event `observe`, on a full replay and on a sampled plan. A
+/// forwarder that fell back to the default per-event walk would still be
+/// correct, so only this catches it.
+#[test]
+fn raw_sinks_get_one_frame_per_interval_and_no_events() {
+    use tpcp_trace::{BranchEvent, Frame, IntervalSink, IntervalSummary, ReplayPlan, TraceIndex};
+
+    #[derive(Default, Debug, PartialEq)]
+    struct Calls {
+        observes: u64,
+        frames: u64,
+        frame_events: u64,
+        intervals: u64,
+    }
+    impl IntervalSink for Calls {
+        fn observe(&mut self, _ev: &BranchEvent) {
+            self.observes += 1;
+        }
+        fn observe_frame(&mut self, frame: &Frame<'_>) {
+            self.frames += 1;
+            self.frame_events += frame.len() as u64;
+        }
+        fn end_interval(&mut self, _summary: &IntervalSummary) {
+            self.intervals += 1;
+        }
+    }
+
+    let cache = test_cache();
+    let params = SuiteParams::quick();
+    let (full_kind, sampled_kind) = (BenchmarkKind::Mcf, BenchmarkKind::GzipGraphic);
+    let index_of = |kind| TraceIndex::build(&cache.load_bytes_or_simulate(kind, &params)).unwrap();
+    let (full_index, sampled_index) = (index_of(full_kind), index_of(sampled_kind));
+    let n = sampled_index.n_intervals();
+    let plan = ReplayPlan::from_ranges([(1, 3), (n / 2, n / 2 + 1)]);
+    let planned = [(1u64, 3u64), (n / 2, n / 2 + 1)];
+
+    let mut engine = Engine::new(params).with_workers(1);
+    let full = engine.interval_sink(full_kind, Calls::default(), |c| c);
+    let sampled = engine.interval_sink(sampled_kind, Calls::default(), |c| c);
+    // Classifier lanes and a SimPoint registration ride the same replays.
+    for kind in [full_kind, sampled_kind] {
+        let _ = engine.classified(kind, ClassifierConfig::hpca2005());
+        let _ = engine.simpoint(kind, |run| run.bbvs.len());
+    }
+    engine.with_plan(sampled_kind, plan);
+    let stats = engine.run(&cache);
+    assert!(
+        stats.failure_report().is_empty(),
+        "{:?}",
+        stats.failure_report()
+    );
+
+    let events_in = |index: &TraceIndex, (start, end): (u64, u64)| {
+        index.checkpoint(end).unwrap().events - index.checkpoint(start).unwrap().events
+    };
+    let n_full = full_index.n_intervals();
+    assert_eq!(
+        full.take(),
+        Calls {
+            observes: 0,
+            frames: n_full,
+            frame_events: events_in(&full_index, (0, n_full)),
+            intervals: n_full,
+        }
+    );
+    let sampled_intervals: u64 = planned.iter().map(|&(s, e)| e - s).sum();
+    assert_eq!(
+        sampled.take(),
+        Calls {
+            observes: 0,
+            frames: sampled_intervals,
+            frame_events: planned.iter().map(|&r| events_in(&sampled_index, r)).sum(),
+            intervals: sampled_intervals,
+        }
+    );
+}
+
 /// A probe whose *reduction* panics (after the replay finished cleanly)
 /// still resolves every cell: the sweep converts the finish-stage panic
 /// into a structured group failure rather than hanging or unwinding.

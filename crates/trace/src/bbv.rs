@@ -20,11 +20,17 @@
 //! integer sums and the same `count as f64 / total` division, so every
 //! weight, projection sum and distance is bit-identical to one built that
 //! way; the trace proptests check this against such a reference.
+//!
+//! [`BbvBuilder::observe_weighted`] adds `count` executions of one block
+//! at once, `insns × count`: [`BbvSink`] takes a [`Frame`] that way, one
+//! add per pair instead of one per event. Integer sums do not depend on
+//! how the adds are grouped, so the vectors are the same bits.
 
 use std::cmp::Ordering;
 
 use crate::event::BranchEvent;
-use crate::interval::IntervalSummary;
+use crate::interval::{Frame, IntervalSource, IntervalSummary};
+use crate::sink::{drive, IntervalSink};
 
 /// A sparse, normalized basic block vector for one interval.
 ///
@@ -152,16 +158,32 @@ impl BbvBuilder {
     /// Adds one branch event's instruction count to its PC's component.
     #[inline]
     pub fn observe(&mut self, ev: BranchEvent) {
-        let insns = u64::from(ev.insns);
+        self.add(ev.pc, u64::from(ev.insns));
+    }
+
+    /// Adds `count` occurrences of `ev` at once: `insns × count` to its
+    /// PC's component, the same integer `count` calls to
+    /// [`observe`](Self::observe) would sum. A count of 0 stands for no
+    /// event and touches nothing.
+    #[inline]
+    pub fn observe_weighted(&mut self, ev: BranchEvent, count: u64) {
+        if count != 0 {
+            self.add(ev.pc, u64::from(ev.insns) * count);
+        }
+    }
+
+    /// Adds `insns` instructions to `pc`'s component.
+    #[inline]
+    fn add(&mut self, pc: u64, insns: u64) {
         let mask = self.slots.len() - 1;
-        let mut i = home_slot(ev.pc, self.slots.len());
+        let mut i = home_slot(pc, self.slots.len());
         loop {
             let slot = &mut self.slots[i];
             if slot.biased == 0 {
-                self.insert(i, ev.pc, insns);
+                self.insert(i, pc, insns);
                 return;
             }
-            if slot.pc == ev.pc {
+            if slot.pc == pc {
                 slot.biased += insns;
                 return;
             }
@@ -246,7 +268,8 @@ pub struct BbvTrace {
 
 impl BbvTrace {
     /// Collects a BBV trace by draining an
-    /// [`IntervalSource`](crate::IntervalSource).
+    /// [`IntervalSource`](crate::IntervalSource): one [`drive`] pass over a
+    /// [`BbvSink`], so a trace decoder's frames are summed per pair.
     ///
     /// # Example
     ///
@@ -258,14 +281,10 @@ impl BbvTrace {
     /// let trace = BbvTrace::collect(source);
     /// assert_eq!(trace.len(), 5);
     /// ```
-    pub fn collect<S: crate::interval::IntervalSource>(mut source: S) -> Self {
-        let mut out = Self::default();
-        let mut builder = BbvBuilder::new();
-        while let Some(summary) = source.next_interval(&mut |ev| builder.observe(ev)) {
-            out.vectors.push(builder.finish());
-            out.summaries.push(summary);
-        }
-        out
+    pub fn collect<S: IntervalSource>(mut source: S) -> Self {
+        let mut sink = BbvSink::new();
+        drive(&mut source, &mut [&mut sink]);
+        sink.into_trace()
     }
 
     /// Number of intervals in the trace.
@@ -281,6 +300,45 @@ impl BbvTrace {
     /// Per-interval CPIs, in execution order.
     pub fn cpis(&self) -> Vec<f64> {
         self.summaries.iter().map(|s| s.cpi()).collect()
+    }
+}
+
+/// An [`IntervalSink`] that collects per-interval basic block vectors —
+/// the offline (SimPoint-style) classification input — during the same
+/// replay every other sink rides. A frame's pairs are added once each,
+/// weighted by their counts ([`BbvBuilder::observe_weighted`]).
+#[derive(Debug, Clone, Default)]
+pub struct BbvSink {
+    builder: BbvBuilder,
+    trace: BbvTrace,
+}
+
+impl BbvSink {
+    /// Creates an empty collector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The collected BBV trace.
+    pub fn into_trace(self) -> BbvTrace {
+        self.trace
+    }
+}
+
+impl IntervalSink for BbvSink {
+    fn observe(&mut self, ev: &BranchEvent) {
+        self.builder.observe(*ev);
+    }
+
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        for (ev, count) in frame.weighted() {
+            self.builder.observe_weighted(ev, count);
+        }
+    }
+
+    fn end_interval(&mut self, summary: &IntervalSummary) {
+        self.trace.vectors.push(self.builder.finish());
+        self.trace.summaries.push(*summary);
     }
 }
 

@@ -32,11 +32,12 @@
 //! - [`decode_trace`] materializes the whole buffer into a
 //!   [`RecordedTrace`] (archival, tooling, tests).
 //! - [`StreamingDecoder`] yields one interval at a time straight off the
-//!   borrowed buffer — into the caller's callback, or into one buffer
-//!   reused across intervals — and implements
+//!   borrowed buffer — into the caller's callback, into one buffer reused
+//!   across intervals, or as a counted [`Frame`]: the frame's pair table,
+//!   each pair's occurrence count and the id run — and implements
 //!   [`IntervalSource`](crate::IntervalSource), so a trace replays through
-//!   [`drive`](crate::drive) without ever being materialized. This is the
-//!   hot path of the experiment engine.
+//!   [`drive`](crate::drive) frame by frame without ever being
+//!   materialized. This is the hot path of the experiment engine.
 
 use std::collections::HashMap;
 
@@ -44,7 +45,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::event::BranchEvent;
 use crate::index::{IndexError, IntervalCheckpoint, TraceIndex};
-use crate::interval::{IntervalSource, IntervalSummary};
+use crate::interval::{Frame, IntervalSource, IntervalSummary};
 use crate::recorded::{RecordedInterval, RecordedTrace};
 
 /// The trace format this crate writes and reads: the magic that opens
@@ -328,6 +329,22 @@ impl FrameIds<'_> {
     pub(crate) fn len(&self) -> usize {
         self.bytes.len() / self.width
     }
+
+    /// Calls `f` with each id, in program order.
+    #[inline]
+    pub(crate) fn for_each(self, mut f: impl FnMut(usize)) {
+        match self.width {
+            1 => self.bytes.iter().for_each(|&id| f(usize::from(id))),
+            2 => self
+                .bytes
+                .chunks_exact(2)
+                .for_each(|c| f(usize::from(u16::from_le_bytes([c[0], c[1]])))),
+            _ => self
+                .bytes
+                .chunks_exact(4)
+                .for_each(|c| f(u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize)),
+        }
+    }
 }
 
 /// A streaming, zero-copy decoder over an encoded trace buffer.
@@ -338,10 +355,13 @@ impl FrameIds<'_> {
 /// callback, so replaying a multi-gigabyte trace needs no heap
 /// proportional to the trace. An optional scratch buffer
 /// ([`next_interval_buffered`](Self::next_interval_buffered)) is reused
-/// across intervals for callers that want a slice view.
+/// across intervals for callers that want a slice view, and
+/// [`try_next_frame`](Self::try_next_frame) yields the frame itself, its
+/// ids counted per pair into scratch that is also reused.
 ///
 /// `StreamingDecoder` implements [`IntervalSource`], so it can be driven
-/// through [`drive`](crate::drive) like any replay. Because
+/// through [`drive`](crate::drive) like any replay, one [`Frame`] per
+/// interval. Because
 /// `IntervalSource` cannot surface errors, a decode error in that mode
 /// ends the stream early and is reported by [`error`](Self::error);
 /// callers replaying untrusted bytes should run [`validate_trace`] first
@@ -371,6 +391,9 @@ pub struct StreamingDecoder<'a> {
     decoded: u64,
     /// The current frame's distinct `(pc, insns)` pairs.
     pairs: Vec<BranchEvent>,
+    /// Occurrences of each of `pairs` in the current frame's id run
+    /// (filled on the frame path only).
+    counts: Vec<u64>,
     scratch: Vec<BranchEvent>,
     error: Option<CodecError>,
 }
@@ -402,6 +425,7 @@ impl<'a> StreamingDecoder<'a> {
             n_intervals,
             decoded: 0,
             pairs: Vec::new(),
+            counts: Vec::new(),
             scratch: Vec::new(),
             error: None,
         })
@@ -573,29 +597,47 @@ impl<'a> StreamingDecoder<'a> {
             return Ok(None);
         };
         let pairs = &self.pairs;
-        match ids.width {
-            1 => ids
-                .bytes
-                .iter()
-                .for_each(|&id| on_event(pairs[usize::from(id)])),
-            2 => ids
-                .bytes
-                .chunks_exact(2)
-                .for_each(|c| on_event(pairs[usize::from(u16::from_le_bytes([c[0], c[1]]))])),
-            _ => ids.bytes.chunks_exact(4).for_each(|c| {
-                on_event(pairs[u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize])
-            }),
-        }
+        ids.for_each(|id| on_event(pairs[id]));
         Ok(Some(summary))
+    }
+
+    /// Decodes the next interval as a [`Frame`]: its pair table, each
+    /// pair's occurrence count in the id run, and the id run itself, which
+    /// [`Frame::for_each_event`] walks in program order. The counts go into
+    /// scratch reused across intervals. `Ok(None)` means every declared
+    /// interval has been decoded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] on a truncated or malformed frame. The whole
+    /// frame is checked before it is counted, so a failing interval yields
+    /// no frame.
+    #[allow(clippy::type_complexity)]
+    pub fn try_next_frame(&mut self) -> Result<Option<(Frame<'_>, IntervalSummary)>, CodecError> {
+        let Some((summary, ids)) = self.read_frame()? else {
+            return Ok(None);
+        };
+        Ok(Some((self.counted(ids), summary)))
+    }
+
+    /// Counts each pair's occurrences in `ids`, the id run [`read_frame`]
+    /// just checked, and returns the frame over the pair table.
+    ///
+    /// [`read_frame`]: Self::read_frame
+    pub(crate) fn counted(&mut self, ids: FrameIds<'a>) -> Frame<'_> {
+        let counts = &mut self.counts;
+        counts.clear();
+        counts.resize(self.pairs.len(), 0);
+        ids.for_each(|id| counts[id] += 1);
+        Frame::dictionary(&self.pairs, &self.counts, ids)
     }
 
     /// Decodes the next interval into `events` (cleared first) with one
     /// exact-size extend: the buffer-filling decode behind
-    /// [`decode_trace`], [`next_interval_buffered`](Self::next_interval_buffered)
-    /// and the [`IntervalSource::next_interval_into`] override that
-    /// [`drive`](crate::drive) replays through. The per-event callback
-    /// above gathers on its own: routing it through a buffer costs a
-    /// store and a load per event.
+    /// [`decode_trace`] and
+    /// [`next_interval_buffered`](Self::next_interval_buffered). It does
+    /// not count ids. The per-event callback above gathers on its own:
+    /// routing it through a buffer costs a store and a load per event.
     pub(crate) fn try_next_interval_into(
         &mut self,
         events: &mut Vec<BranchEvent>,
@@ -641,10 +683,10 @@ impl<'a> StreamingDecoder<'a> {
 
     /// One [`IntervalSource`]-mode step: a stored decode error ends the
     /// stream, and a new one is stored instead of returned.
-    fn sticky(
+    fn sticky<T>(
         &mut self,
-        step: impl FnOnce(&mut Self) -> Result<Option<IntervalSummary>, CodecError>,
-    ) -> Option<IntervalSummary> {
+        step: impl FnOnce(&mut Self) -> Result<Option<T>, CodecError>,
+    ) -> Option<T> {
         if self.error.is_some() {
             return None;
         }
@@ -660,8 +702,9 @@ impl IntervalSource for StreamingDecoder<'_> {
         self.sticky(|d| d.try_next_interval(on_event))
     }
 
-    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
-        self.sticky(|d| d.try_next_interval_into(events))
+    fn next_frame(&mut self) -> Option<(Frame<'_>, IntervalSummary)> {
+        let (summary, ids) = self.sticky(Self::read_frame)?;
+        Some((self.counted(ids), summary))
     }
 }
 
@@ -917,13 +960,24 @@ mod tests {
         (events, summaries)
     }
 
-    /// Decodes `data` through the callback, buffered and eager paths,
-    /// asserts that they and [`validate_trace`] agree, and returns the
-    /// shared result.
+    /// Decodes `data` through the callback, frame, buffered and eager
+    /// paths, asserts that they and [`validate_trace`] agree, and returns
+    /// the shared result. Each frame's counts must be its ids' occurrences.
     fn decode_all_paths(data: &[u8]) -> Decoded {
         let streamed = StreamingDecoder::new(data).and_then(|mut decoder| {
             let (mut events, mut summaries) = (Vec::new(), Vec::new());
             while let Some(s) = decoder.try_next_interval(&mut |ev| events.push(ev))? {
+                summaries.push(s);
+            }
+            Ok((events, summaries))
+        });
+        let framed = StreamingDecoder::new(data).and_then(|mut decoder| {
+            let (mut events, mut summaries) = (Vec::new(), Vec::new());
+            while let Some((frame, s)) = decoder.try_next_frame()? {
+                let mut occurrences = vec![0u64; frame.pairs().len()];
+                frame.for_each_id(|id| occurrences[id] += 1);
+                assert_eq!(frame.counts(), &occurrences[..], "counts of {s:?}");
+                frame.for_each_event(|ev| events.push(ev));
                 summaries.push(s);
             }
             Ok((events, summaries))
@@ -937,6 +991,7 @@ mod tests {
             Ok((events, summaries))
         });
         let eager = decode_trace(Bytes::from(data.to_vec())).map(|t| flatten(&t));
+        assert_eq!(streamed, framed, "callback and frame decode disagree");
         assert_eq!(streamed, buffered, "callback and buffered decode disagree");
         assert_eq!(streamed, eager, "streaming and eager decode disagree");
         assert_eq!(
@@ -990,6 +1045,136 @@ mod tests {
             let want: Vec<u64> = (0..n_distinct).chain(0..n_distinct).collect();
             assert_eq!(ids, want, "{n_distinct} pairs: ids of width {width}");
         }
+    }
+
+    #[test]
+    fn dict_counts_match_occurrences_at_every_id_width() {
+        for n_distinct in [0, 1, 256, 257, 65_536, 65_537] {
+            let trace = one_interval(n_distinct);
+            let events = &trace.intervals[0].events;
+            let mut occurrences: HashMap<BranchEvent, u64> = HashMap::new();
+            for &ev in events {
+                *occurrences.entry(ev).or_default() += 1;
+            }
+            let data = encode_trace(&trace);
+            let mut decoder = StreamingDecoder::new(&data).unwrap();
+            let (frame, summary) = decoder.try_next_frame().unwrap().unwrap();
+            assert_eq!(summary, trace.intervals[0].summary);
+            assert_eq!(frame.len(), events.len(), "{n_distinct} pairs");
+            assert_eq!(frame.pairs().len(), occurrences.len(), "pairs are distinct");
+            assert_eq!(frame.counts().iter().sum::<u64>(), events.len() as u64);
+            for (pair, &count) in frame.pairs().iter().zip(frame.counts()) {
+                assert_eq!(occurrences[pair], count, "{n_distinct} pairs: {pair}");
+            }
+            assert_eq!(frame.weighted().count(), occurrences.len());
+            let mut walked = Vec::with_capacity(events.len());
+            frame.for_each_event(|ev| walked.push(ev));
+            assert_eq!(&walked, events, "{n_distinct} pairs: program order");
+            assert!(decoder.try_next_frame().unwrap().is_none());
+        }
+    }
+
+    /// Counts every call a sink gets.
+    #[derive(Debug, Default, PartialEq)]
+    struct Calls {
+        observes: u64,
+        frames: u64,
+        frame_events: u64,
+        intervals: u64,
+    }
+
+    impl crate::IntervalSink for Calls {
+        fn observe(&mut self, _ev: &BranchEvent) {
+            self.observes += 1;
+        }
+
+        fn observe_frame(&mut self, frame: &Frame<'_>) {
+            self.frames += 1;
+            self.frame_events += frame.len() as u64;
+        }
+
+        fn end_interval(&mut self, _summary: &IntervalSummary) {
+            self.intervals += 1;
+        }
+    }
+
+    #[test]
+    fn dict_event_id_out_of_range_reaches_no_sink() {
+        use crate::index::{PlannedReplay, ReplayPlan};
+        let trace = sample();
+        let (clean, index) = crate::encode_trace_with_index(&trace);
+        let last = trace.intervals.last().expect("sample has intervals");
+        let mut data = clean.to_vec();
+        // The last event's id is the buffer's last byte; one past the
+        // frame's pair count is out of range.
+        *data.last_mut().expect("non-empty") = u8::MAX;
+        let want = Calls {
+            observes: 0,
+            frames: trace.len() as u64 - 1,
+            frame_events: flatten(&trace).0.len() as u64 - last.events.len() as u64,
+            intervals: trace.len() as u64 - 1,
+        };
+
+        let mut decoder = StreamingDecoder::new(&data).unwrap();
+        let mut calls = Calls::default();
+        assert_eq!(
+            crate::drive(&mut decoder, &mut [&mut calls]),
+            trace.len() - 1
+        );
+        assert_eq!(calls, want);
+        assert_eq!(decoder.error(), Some(CodecError::EventIdOutOfRange));
+
+        let decoder = StreamingDecoder::new(&data).unwrap();
+        let mut planned = PlannedReplay::new(decoder, &index, &ReplayPlan::full()).unwrap();
+        let mut calls = Calls::default();
+        assert_eq!(
+            crate::drive(&mut planned, &mut [&mut calls]),
+            trace.len() - 1
+        );
+        assert_eq!(calls, want);
+        assert_eq!(planned.error(), Some(CodecError::EventIdOutOfRange));
+    }
+
+    #[test]
+    fn dict_pair_no_id_names_counts_zero_and_touches_nothing() {
+        let (a, b, unused) = (
+            BranchEvent::new(0x40_0000, 30),
+            BranchEvent::new(0x40_0080, 50),
+            BranchEvent::new(0x7f_0000, 70),
+        );
+        let trace = RecordedTrace {
+            intervals: vec![RecordedInterval {
+                events: vec![a, b, unused, a],
+                summary: IntervalSummary::new(0, 180, 360),
+            }],
+        };
+        let mut data = encode_trace(&trace).to_vec();
+        // The id run closes the buffer, one byte per event: point the
+        // third event at pair 0, so no id names pair 2.
+        let third = data.len() - 2;
+        assert_eq!(data[third], 2);
+        data[third] = 0;
+        let mut decoder = StreamingDecoder::new(&data).unwrap();
+        let (frame, _) = decoder.try_next_frame().unwrap().unwrap();
+        assert_eq!(frame.pairs(), &[a, b, unused]);
+        assert_eq!(frame.counts(), &[3, 1, 0]);
+        assert_eq!(frame.weighted().collect::<Vec<_>>(), [(a, 3), (b, 1)]);
+
+        // The BBV sink, fed the frame, holds no component for the unused
+        // pair, not even a zero-weight one: it equals the per-event walk.
+        let mut sink = crate::BbvSink::new();
+        let mut decoder = StreamingDecoder::new(&data).unwrap();
+        assert_eq!(crate::drive(&mut decoder, &mut [&mut sink]), 1);
+        let bbv = &sink.into_trace().vectors[0];
+        let mut builder = crate::BbvBuilder::new();
+        for ev in [a, b, a, a] {
+            builder.observe(ev);
+        }
+        assert_eq!(bbv, &builder.finish());
+        assert_eq!(bbv.len(), 2);
+        let mut builder = crate::BbvBuilder::new();
+        builder.observe_weighted(unused, 0);
+        assert!(builder.finish().is_empty());
     }
 
     /// A trace exercising every varint width: tiny PC deltas (1-byte),

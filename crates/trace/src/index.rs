@@ -50,7 +50,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::codec::{CodecError, StreamingDecoder};
 use crate::event::BranchEvent;
-use crate::interval::{IntervalSource, IntervalSummary};
+use crate::interval::{Frame, IntervalSource, IntervalSummary};
 
 pub(crate) const INDEX_MAGIC: &[u8; 8] = b"TPCPIDX1";
 /// magic + payload_len + payload_checksum + n_intervals.
@@ -502,9 +502,9 @@ pub struct SkipStats {
 ///
 /// Consumers downstream of [`drive`](crate::drive) see a *gap-free*
 /// stream of the planned intervals: each delivered interval is
-/// bit-identical (summary and events) to what a full streaming replay
-/// would have delivered for that interval, and skipped intervals simply
-/// never appear. Interval summaries keep their original `index`, so
+/// bit-identical (summary and events, or summary and counted
+/// [`Frame`]) to what a full streaming replay would have delivered for
+/// that interval, and skipped intervals simply never appear. Interval summaries keep their original `index`, so
 /// position-aware sinks still know where each interval came from.
 ///
 /// A decode error mid-plan ends the stream and is reported by
@@ -622,10 +622,10 @@ impl<'a> PlannedReplay<'a> {
 impl<'a> PlannedReplay<'a> {
     /// One planned step: seeks across the gap before the next planned
     /// interval if there is one, then decodes that interval with `decode`.
-    fn advance(
+    fn advance<T>(
         &mut self,
-        decode: impl FnOnce(&mut StreamingDecoder<'a>) -> Result<Option<IntervalSummary>, CodecError>,
-    ) -> Option<IntervalSummary> {
+        decode: impl FnOnce(&mut StreamingDecoder<'a>) -> Result<Option<T>, CodecError>,
+    ) -> Option<T> {
         if self.error.is_some() {
             return None;
         }
@@ -639,11 +639,11 @@ impl<'a> PlannedReplay<'a> {
             }
         }
         match decode(&mut self.decoder) {
-            Ok(Some(summary)) => {
+            Ok(Some(decoded)) => {
                 if self.decoder.intervals_decoded() >= end {
                     self.cur += 1;
                 }
-                Some(summary)
+                Some(decoded)
             }
             Ok(None) => None,
             Err(e) => {
@@ -659,8 +659,9 @@ impl IntervalSource for PlannedReplay<'_> {
         self.advance(|d| d.try_next_interval(on_event))
     }
 
-    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
-        self.advance(|d| d.try_next_interval_into(events))
+    fn next_frame(&mut self) -> Option<(Frame<'_>, IntervalSummary)> {
+        let (summary, ids) = self.advance(StreamingDecoder::read_frame)?;
+        Some((self.decoder.counted(ids), summary))
     }
 }
 

@@ -1,5 +1,9 @@
-//! Fixed-length execution intervals and the sources that produce them.
+//! Fixed-length execution intervals, the sources that produce them, and
+//! the [`Frame`] view of one interval's events.
 
+use std::borrow::Cow;
+
+use crate::codec::FrameIds;
 use crate::event::BranchEvent;
 
 /// A branch event paired with the number of cycles the timing model charged
@@ -75,6 +79,120 @@ impl IntervalSummary {
     }
 }
 
+/// One interval's committed branches as a pair table: the interval's
+/// `(pc, insns)` pairs, how many of its events each pair stands for, and
+/// the program order as a run of pair ids.
+///
+/// Every per-interval consumer that only sums over events — the paper's
+/// accumulator table, a working set, an exact BBV — can take that sum over
+/// the pairs instead, each weighted by its count
+/// ([`weighted`](Self::weighted)); consumers that need the order walk the
+/// id run ([`for_each_id`](Self::for_each_id),
+/// [`for_each_event`](Self::for_each_event)).
+///
+/// A decoded trace frame lists each distinct pair once and counts its ids
+/// ([`StreamingDecoder::try_next_frame`](crate::StreamingDecoder::try_next_frame)).
+/// The pair list need not be distinct, though: the default
+/// [`IntervalSource::next_frame`] makes every event its own count-1 pair,
+/// in program order, so a consumer must be exact for repeated pairs, and
+/// a pair whose count is 0 stands for no event and must touch nothing.
+///
+/// # Example
+///
+/// ```
+/// use tpcp_trace::{encode_trace, BranchEvent, IntervalCutter, RecordedTrace, StreamingDecoder};
+///
+/// let events = (0..6u64).map(|i| (BranchEvent::new(0x40 + (i % 2) * 8, 10), 10u64));
+/// let bytes = encode_trace(&RecordedTrace::record(IntervalCutter::from_iter(60, events)));
+/// let mut decoder = StreamingDecoder::new(&bytes)?;
+/// let (frame, summary) = decoder.try_next_frame()?.expect("one interval");
+/// assert_eq!(frame.len(), 6);
+/// assert_eq!(frame.pairs(), &[BranchEvent::new(0x40, 10), BranchEvent::new(0x48, 10)]);
+/// assert_eq!(frame.counts(), &[3, 3]);
+/// assert_eq!(summary.instructions, 60);
+/// # Ok::<(), tpcp_trace::CodecError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Frame<'a> {
+    pairs: Cow<'a, [BranchEvent]>,
+    /// Occurrences of each pair in the interval, parallel to `pairs`.
+    counts: Cow<'a, [u64]>,
+    /// Program order: event `k` is pair `ids[k]`, or pair `k` if `None`.
+    ids: Option<FrameIds<'a>>,
+}
+
+impl<'a> Frame<'a> {
+    /// A dictionary-coded frame: `ids` is the checked id run, and
+    /// `counts[p]` is how often id `p` occurs in it.
+    pub(crate) fn dictionary(
+        pairs: &'a [BranchEvent],
+        counts: &'a [u64],
+        ids: FrameIds<'a>,
+    ) -> Self {
+        debug_assert_eq!(pairs.len(), counts.len());
+        Self {
+            pairs: Cow::Borrowed(pairs),
+            counts: Cow::Borrowed(counts),
+            ids: Some(ids),
+        }
+    }
+
+    /// Every event its own count-1 pair, in program order.
+    pub(crate) fn in_order(events: Vec<BranchEvent>) -> Frame<'static> {
+        Frame {
+            counts: Cow::Owned(vec![1; events.len()]),
+            pairs: Cow::Owned(events),
+            ids: None,
+        }
+    }
+
+    /// The frame's `(pc, insns)` pairs.
+    pub fn pairs(&self) -> &[BranchEvent] {
+        &self.pairs
+    }
+
+    /// How many of the interval's events each pair stands for, parallel
+    /// to [`pairs`](Self::pairs).
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Number of events in the interval.
+    pub fn len(&self) -> usize {
+        self.ids.map_or(self.pairs.len(), |ids| ids.len())
+    }
+
+    /// Whether the interval has no events.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The pairs that stand for at least one event, each with its count.
+    pub fn weighted(&self) -> impl Iterator<Item = (BranchEvent, u64)> + '_ {
+        self.pairs
+            .iter()
+            .zip(self.counts.iter())
+            .filter(|&(_, &n)| n != 0)
+            .map(|(&ev, &n)| (ev, n))
+    }
+
+    /// Calls `f` with each event's pair id, in program order.
+    #[inline]
+    pub fn for_each_id(&self, f: impl FnMut(usize)) {
+        match self.ids {
+            Some(ids) => ids.for_each(f),
+            None => (0..self.pairs.len()).for_each(f),
+        }
+    }
+
+    /// Calls `f` with each event, in program order.
+    #[inline]
+    pub fn for_each_event(&self, mut f: impl FnMut(BranchEvent)) {
+        let pairs = self.pairs();
+        self.for_each_id(|id| f(pairs[id]));
+    }
+}
+
 /// A source of fixed-length execution intervals.
 ///
 /// Implementors stream one interval at a time: each call to
@@ -95,15 +213,16 @@ pub trait IntervalSource {
     fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary>;
 
     /// Advances to the next interval like
-    /// [`next_interval`](Self::next_interval), but collects its events into
-    /// `events` (cleared first) instead of calling back once per event.
-    /// [`drive`](crate::drive) replays through this, so each interval is
-    /// decoded once into one reused buffer and every sink takes the whole
-    /// slice. The default collects through `next_interval`; decoders
-    /// override it with a statically dispatched fill.
-    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
-        events.clear();
-        self.next_interval(&mut |ev| events.push(ev))
+    /// [`next_interval`](Self::next_interval), but yields its events as a
+    /// [`Frame`] instead of calling back once per event.
+    /// [`drive`](crate::drive) replays through this and hands every sink
+    /// the frame. The default collects the events through `next_interval`
+    /// as one count-1 pair each, in program order; trace decoders
+    /// override it with the frame's own pair table and id counts.
+    fn next_frame(&mut self) -> Option<(Frame<'_>, IntervalSummary)> {
+        let mut events = Vec::new();
+        let summary = self.next_interval(&mut |ev| events.push(ev))?;
+        Some((Frame::in_order(events), summary))
     }
 
     /// Runs the source to completion, discarding events, and returns all
@@ -125,8 +244,8 @@ impl<T: IntervalSource + ?Sized> IntervalSource for &mut T {
         (**self).next_interval(on_event)
     }
 
-    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
-        (**self).next_interval_into(events)
+    fn next_frame(&mut self) -> Option<(Frame<'_>, IntervalSummary)> {
+        (**self).next_frame()
     }
 }
 
@@ -135,8 +254,8 @@ impl<T: IntervalSource + ?Sized> IntervalSource for Box<T> {
         (**self).next_interval(on_event)
     }
 
-    fn next_interval_into(&mut self, events: &mut Vec<BranchEvent>) -> Option<IntervalSummary> {
-        (**self).next_interval_into(events)
+    fn next_frame(&mut self) -> Option<(Frame<'_>, IntervalSummary)> {
+        (**self).next_frame()
     }
 }
 

@@ -52,7 +52,7 @@ mod sink;
 mod stats;
 mod synthetic;
 
-pub use bbv::{Bbv, BbvBuilder, BbvTrace};
+pub use bbv::{Bbv, BbvBuilder, BbvSink, BbvTrace};
 pub use codec::{
     decode_trace, encode_trace, encode_trace_with_index, validate_trace, CodecError,
     StreamingDecoder, TRACE_FORMAT,
@@ -60,7 +60,7 @@ pub use codec::{
 pub use event::BranchEvent;
 pub use frame::{wire, FrameDecoder, FrameError, FrameReader, FrameWriter, FRAME_MAX};
 pub use index::{IndexError, IntervalCheckpoint, PlannedReplay, ReplayPlan, SkipStats, TraceIndex};
-pub use interval::{IntervalCutter, IntervalSource, IntervalSummary, TimedEvent};
+pub use interval::{Frame, IntervalCutter, IntervalSource, IntervalSummary, TimedEvent};
 pub use metrics::MetricCounts;
 pub use recorded::{RecordedInterval, RecordedTrace, ReplaySource};
 pub use sink::{drive, IntervalSink};

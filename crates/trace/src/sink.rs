@@ -6,15 +6,21 @@
 //! summary. [`IntervalSink`] names that contract, and [`drive`] fans one
 //! pass over an [`IntervalSource`] out to any number of sinks, so a trace
 //! is decoded and replayed once no matter how many consumers observe it.
+//!
+//! [`drive`] hands each sink an interval as one [`Frame`]: the interval's
+//! `(pc, insns)` pairs, each pair's occurrence count, and the program
+//! order. A sink that only sums over events takes the sum over the pairs,
+//! each times its count; by default a sink walks the events in program
+//! order through [`IntervalSink::observe`].
 
 use crate::event::BranchEvent;
-use crate::interval::{IntervalSource, IntervalSummary};
+use crate::interval::{Frame, IntervalSource, IntervalSummary};
 
 /// A consumer of an interval-structured event stream.
 ///
 /// For each interval, every committed-branch event is observed in program
-/// order, through [`observe`](IntervalSink::observe) or a run of them at a
-/// time through [`observe_batch`](IntervalSink::observe_batch), then
+/// order, through [`observe`](IntervalSink::observe) or a whole interval at
+/// a time through [`observe_frame`](IntervalSink::observe_frame), then
 /// [`end_interval`](IntervalSink::end_interval) is called once with the
 /// interval's summary. This mirrors the paper's hardware
 /// model: per-branch accumulation during the interval, bookkeeping at the
@@ -23,14 +29,14 @@ pub trait IntervalSink {
     /// Observes one committed-branch event of the current interval.
     fn observe(&mut self, ev: &BranchEvent);
 
-    /// Observes a run of the current interval's events in program order:
-    /// the same as calling [`observe`](IntervalSink::observe) on each.
-    /// [`drive`] hands every sink a whole interval through this, so
+    /// Observes all of the current interval's events at once. The default
+    /// walks them in program order through
+    /// [`observe`](IntervalSink::observe); sinks that only sum over events
+    /// override it to take the sum over the frame's pairs, each times its
+    /// count. [`drive`] hands every sink each interval through this, so
     /// dispatch is paid once per interval, not once per event.
-    fn observe_batch(&mut self, events: &[BranchEvent]) {
-        for ev in events {
-            self.observe(ev);
-        }
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        frame.for_each_event(|ev| self.observe(&ev));
     }
 
     /// Closes the current interval with its summary.
@@ -42,8 +48,8 @@ impl<S: IntervalSink + ?Sized> IntervalSink for &mut S {
         (**self).observe(ev);
     }
 
-    fn observe_batch(&mut self, events: &[BranchEvent]) {
-        (**self).observe_batch(events);
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        (**self).observe_frame(frame);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
@@ -56,8 +62,8 @@ impl<S: IntervalSink + ?Sized> IntervalSink for Box<S> {
         (**self).observe(ev);
     }
 
-    fn observe_batch(&mut self, events: &[BranchEvent]) {
-        (**self).observe_batch(events);
+    fn observe_frame(&mut self, frame: &Frame<'_>) {
+        (**self).observe_frame(frame);
     }
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
@@ -69,15 +75,14 @@ impl<S: IntervalSink + ?Sized> IntervalSink for Box<S> {
 /// `sinks` in order: each sink observes the interval's events, then each
 /// sink closes it. Returns the number of intervals replayed.
 ///
-/// This is the single-replay hot loop: each interval is decoded once into
-/// one reused buffer ([`IntervalSource::next_interval_into`]) and handed
-/// to every sink as a slice ([`IntervalSink::observe_batch`]).
+/// This is the single-replay hot loop: each interval is read once as a
+/// [`Frame`] ([`IntervalSource::next_frame`]) and handed to every sink
+/// whole ([`IntervalSink::observe_frame`]); no event buffer is kept.
 pub fn drive(source: &mut dyn IntervalSource, sinks: &mut [&mut dyn IntervalSink]) -> usize {
-    let mut events = Vec::new();
     let mut intervals = 0;
-    while let Some(summary) = source.next_interval_into(&mut events) {
+    while let Some((frame, summary)) = source.next_frame() {
         for sink in sinks.iter_mut() {
-            sink.observe_batch(&events);
+            sink.observe_frame(&frame);
         }
         for sink in sinks.iter_mut() {
             sink.end_interval(&summary);

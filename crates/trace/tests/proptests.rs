@@ -415,9 +415,10 @@ mod dict {
         (events, summaries)
     }
 
-    /// Decodes `data` through the streaming callback, the buffered
-    /// streaming path and the eager decoder, checks that they and
-    /// `validate_trace` agree, and returns the shared result.
+    /// Decodes `data` through the streaming callback, the counted frame
+    /// path, the buffered streaming path and the eager decoder, checks
+    /// that they and `validate_trace` agree, and returns the shared
+    /// result.
     fn decode_all_paths(data: &[u8]) -> Result<Decoded, TestCaseError> {
         let streamed: Decoded = StreamingDecoder::new(data).and_then(|mut decoder| {
             let (mut events, mut summaries) = (Vec::new(), Vec::new());
@@ -434,7 +435,19 @@ mod dict {
             }
             Ok((events, summaries))
         });
+        let framed: Decoded = StreamingDecoder::new(data).and_then(|mut decoder| {
+            let (mut events, mut summaries) = (Vec::new(), Vec::new());
+            while let Some((frame, s)) = decoder.try_next_frame()? {
+                let mut occurrences = vec![0u64; frame.pairs().len()];
+                frame.for_each_id(|id| occurrences[id] += 1);
+                assert_eq!(frame.counts(), &occurrences[..]);
+                frame.for_each_event(|ev| events.push(ev));
+                summaries.push(s);
+            }
+            Ok((events, summaries))
+        });
         let eager = decode_trace(data.to_vec().into()).map(|t| flatten(&t));
+        prop_assert_eq!(&streamed, &framed);
         prop_assert_eq!(&streamed, &buffered);
         prop_assert_eq!(&streamed, &eager);
         prop_assert_eq!(
@@ -634,6 +647,43 @@ mod bbv_oracle {
                     prop_assert_eq!(other_got.manhattan_distance(&got).to_bits(), d.to_bits());
                 }
                 previous = (got, want);
+            }
+        }
+
+        /// The weighted add against the same reference fed each event
+        /// `count` times: one builder mixes weighted and per-event adds
+        /// across intervals, and a count of 0 adds no component, not even
+        /// a zero-weight one.
+        #[test]
+        fn weighted_add_equals_ordered_map_reference_bit_for_bit(
+            intervals in prop::collection::vec(
+                prop::collection::vec(
+                    (arb_bbv_event(), prop_oneof![Just(0u64), Just(1u64), 0u64..40], any::<bool>()),
+                    0..300,
+                ),
+                1..5,
+            ),
+        ) {
+            let mut builder = BbvBuilder::new();
+            let mut reference = ReferenceBuilder::default();
+            for adds in &intervals {
+                for &(ev, count, weighted) in adds {
+                    if weighted {
+                        builder.observe_weighted(ev, count);
+                    } else {
+                        for _ in 0..count {
+                            builder.observe(ev);
+                        }
+                    }
+                    for _ in 0..count {
+                        reference.observe(ev);
+                    }
+                }
+                prop_assert_eq!(builder.total_instructions(), reference.total);
+                let got = builder.finish();
+                let want = reference.finish();
+                prop_assert_eq!(got.len(), want.len());
+                prop_assert_eq!(bits(got.iter()), bits(want.iter().map(|(&pc, &w)| (pc, w))));
             }
         }
     }
