@@ -3,15 +3,15 @@
 //! A run produces a [`PerfReport`] — per-lane wall-clock statistics plus
 //! process-level facts (peak RSS, git revision, engine replay counts) —
 //! serialized as `BENCH_<git-sha>.json` so CI can archive one data point
-//! per commit. The JSON is hand-rolled (the workspace deliberately has no
-//! JSON dependency); [`parse_lane_rates`] reads back exactly the subset a
-//! regression check needs, so the emitter and parser must stay in sync:
+//! per commit. The report is written with the workspace's one JSON writer
+//! ([`Json`]); [`parse_lane_rates`] reads back exactly the subset a
+//! regression check needs, so the report and parser must stay in sync:
 //! `"name"` keys appear only inside lane objects, and each lane object
 //! carries an `"intervals_per_sec"` field after its `"name"`.
 
 use std::time::Duration;
 
-use tpcp_experiments::TelemetrySnapshot;
+use tpcp_experiments::{Json, TelemetrySnapshot};
 
 /// Timing statistics for one measured lane.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,122 +140,64 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Serializes the report as pretty-printed JSON.
+    /// Serializes the report as a JSON document (schema
+    /// `tpcp-bench-v1`, fixed key order).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"tpcp-bench-v1\",\n");
-        s.push_str(&format!("  \"git_sha\": {},\n", json_string(&self.git_sha)));
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str("  \"suite\": {\n");
-        s.push_str(&format!("    \"traces\": {},\n", self.suite_traces));
-        s.push_str(&format!("    \"intervals\": {},\n", self.suite_intervals));
-        s.push_str(&format!("    \"events\": {},\n", self.suite_events));
-        s.push_str(&format!(
-            "    \"encoded_bytes\": {}\n  }},\n",
-            self.suite_encoded_bytes
-        ));
-        s.push_str(&format!("  \"peak_rss_bytes\": {},\n", self.peak_rss_bytes));
-        s.push_str(&format!(
-            "  \"calibration_ops_per_sec\": {},\n",
-            json_f64(self.calibration_ops_per_sec)
-        ));
-        s.push_str(&format!(
-            "  \"replay_classify_speedup\": {},\n",
-            json_f64(self.replay_classify_speedup)
-        ));
-        s.push_str("  \"lanes\": [\n");
-        for (i, lane) in self.lanes.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": {},\n", json_string(&lane.name)));
-            s.push_str(&format!("      \"iters\": {},\n", lane.iters));
-            s.push_str(&format!("      \"best_ms\": {},\n", json_f64(lane.best_ms)));
-            s.push_str(&format!(
-                "      \"median_ms\": {},\n",
-                json_f64(lane.median_ms)
-            ));
-            s.push_str(&format!("      \"p90_ms\": {},\n", json_f64(lane.p90_ms)));
-            s.push_str(&format!(
-                "      \"intervals_per_sec\": {},\n",
-                json_f64(lane.intervals_per_sec)
-            ));
-            s.push_str(&format!(
-                "      \"events_per_sec\": {},\n",
-                json_f64(lane.events_per_sec)
-            ));
-            s.push_str(&format!("      \"intervals\": {},\n", lane.intervals));
-            s.push_str(&format!("      \"events\": {}\n", lane.events));
-            s.push_str(if i + 1 == self.lanes.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        s.push_str("  ],\n");
-        match &self.engine {
-            None => s.push_str("  \"engine\": null\n"),
-            Some(engine) => {
-                s.push_str("  \"engine\": {\n");
-                s.push_str(&format!(
-                    "    \"traces_replayed\": {},\n",
-                    engine.traces_replayed
-                ));
-                s.push_str(&format!(
-                    "    \"max_replays_per_trace\": {},\n",
-                    engine.max_replays_per_trace
-                ));
-                s.push_str(&format!(
-                    "    \"total_intervals\": {},\n",
-                    engine.total_intervals
-                ));
-                s.push_str("    \"replay_counts\": {");
-                for (i, (key, count)) in engine.replay_counts.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!("\n      {}: {}", json_string(key), count));
-                }
-                if !engine.replay_counts.is_empty() {
-                    s.push_str("\n    ");
-                }
-                s.push_str("},\n    \"telemetry\": ");
+        let lanes = self.lanes.iter().map(|lane| {
+            Json::object([
+                ("name", lane.name.as_str().into()),
+                ("iters", lane.iters.into()),
+                ("best_ms", lane.best_ms.into()),
+                ("median_ms", lane.median_ms.into()),
+                ("p90_ms", lane.p90_ms.into()),
+                ("intervals_per_sec", lane.intervals_per_sec.into()),
+                ("events_per_sec", lane.events_per_sec.into()),
+                ("intervals", lane.intervals.into()),
+                ("events", lane.events.into()),
+            ])
+        });
+        let engine = self.engine.as_ref().map_or(Json::Null, |engine| {
+            let replay_counts = engine
+                .replay_counts
+                .iter()
+                .map(|(key, count)| (key.as_str(), Json::from(*count)));
+            Json::object([
+                ("traces_replayed", engine.traces_replayed.into()),
+                ("max_replays_per_trace", engine.max_replays_per_trace.into()),
+                ("total_intervals", engine.total_intervals.into()),
+                ("replay_counts", Json::object(replay_counts)),
                 // Telemetry lane objects use "label" keys, so embedding
                 // them here cannot confuse `parse_lane_rates`' reliance
                 // on "name" appearing only in lane objects.
-                engine.telemetry.write_json(&mut s, 2);
-                s.push_str("\n  }\n");
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// JSON-escapes and quotes a string.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as a JSON number (finite, fixed 3-decimal precision).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "0.000".to_owned()
+                ("telemetry", engine.telemetry.to_value()),
+            ])
+        });
+        Json::object([
+            ("schema", "tpcp-bench-v1".into()),
+            ("git_sha", self.git_sha.as_str().into()),
+            ("smoke", self.smoke.into()),
+            (
+                "suite",
+                Json::object([
+                    ("traces", self.suite_traces.into()),
+                    ("intervals", self.suite_intervals.into()),
+                    ("events", self.suite_events.into()),
+                    ("encoded_bytes", self.suite_encoded_bytes.into()),
+                ]),
+            ),
+            ("peak_rss_bytes", self.peak_rss_bytes.into()),
+            (
+                "calibration_ops_per_sec",
+                self.calibration_ops_per_sec.into(),
+            ),
+            (
+                "replay_classify_speedup",
+                self.replay_classify_speedup.into(),
+            ),
+            ("lanes", Json::Array(lanes.collect())),
+            ("engine", engine),
+        ])
+        .render()
     }
 }
 
@@ -516,13 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "0.000");
-        assert_eq!(json_f64(f64::INFINITY), "0.000");
-    }
-
-    #[test]
     fn regression_detected_beyond_tolerance() {
         let baseline = sample_report().to_json();
         let current = vec![
@@ -590,6 +525,18 @@ mod tests {
         let checks = check_against_baseline(&current, &baseline, 0.15, None);
         assert_eq!(checks.len(), 1);
         assert!(!checks[0].regressed);
+    }
+
+    /// The gate can read the checked-in baseline, which an older writer
+    /// laid out: every lane has a positive rate, and the calibration value
+    /// is there to normalize against.
+    #[test]
+    fn checked_in_baseline_parses() {
+        let baseline = include_str!("../../../results/bench-baseline.json");
+        let rates = parse_lane_rates(baseline);
+        assert!(!rates.is_empty());
+        assert!(rates.iter().all(|(_, rate)| *rate > 0.0), "{rates:?}");
+        assert!(parse_calibration(baseline).is_some());
     }
 
     #[test]

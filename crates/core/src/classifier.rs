@@ -121,7 +121,7 @@ impl PhaseClassifier {
     }
 
     /// Ends the current interval against an *externally owned* feature
-    /// extractor, returning the interval's phase ID.
+    /// extractor, with full diagnostics.
     ///
     /// This is the shared-accumulation entry point: many classifier
     /// configurations that agree on the extractor shape (kind and
@@ -142,15 +142,6 @@ impl PhaseClassifier {
     /// Panics if `features` does not match the configured extractor kind,
     /// or does not have exactly the configured number of dimensions (the
     /// signature would not match the table's stored signatures).
-    pub fn end_interval_from<E>(&mut self, features: &E, cpi: f64) -> PhaseId
-    where
-        E: FeatureExtractor + ?Sized,
-    {
-        self.end_interval_from_detailed(features, cpi).phase_id
-    }
-
-    /// [`end_interval_from`](Self::end_interval_from) with full
-    /// diagnostics.
     pub fn end_interval_from_detailed<E>(&mut self, features: &E, cpi: f64) -> Classification
     where
         E: FeatureExtractor + ?Sized,
@@ -172,7 +163,7 @@ impl PhaseClassifier {
 
     /// Classifies one finished interval signature: table search, transition
     /// phase promotion, and adaptive threshold feedback. Shared by the
-    /// owned-accumulator and shared-accumulator interval boundaries.
+    /// owned-extractor and shared-extractor interval boundaries.
     fn classify_signature(&mut self, sig: Signature, cpi: f64) -> Classification {
         self.intervals_seen += 1;
 
@@ -260,17 +251,6 @@ impl PhaseClassifier {
             self.transition_intervals += 1;
         }
         classification
-    }
-
-    /// Convenience: classify a whole interval from an event iterator.
-    pub fn classify_interval<I>(&mut self, events: I, cpi: f64) -> PhaseId
-    where
-        I: IntoIterator<Item = BranchEvent>,
-    {
-        for ev in events {
-            self.observe(ev);
-        }
-        self.end_interval(cpi)
     }
 
     /// Number of *real* (stable) phase IDs created so far. This is the
@@ -664,21 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_interval_convenience_matches_manual() {
-        let mut manual = paper_classifier();
-        let mut auto = paper_classifier();
-        let events: Vec<_> = (0..100u64)
-            .map(|i| BranchEvent::new(0x2000 + (i % 4) * 0x10, 25))
-            .collect();
-        for ev in &events {
-            manual.observe(*ev);
-        }
-        let a = manual.end_interval(1.5);
-        let b = auto.classify_interval(events, 1.5);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn suspended_and_resumed_classifier_continues_identically() {
         // Clone mid-stream (the state snapshot a suspend would serialize)
         // and check both copies evolve identically.
@@ -731,7 +696,7 @@ mod tests {
 
     #[test]
     fn shared_accumulator_matches_owned_path() {
-        // Driving a classifier through `end_interval_from` with an external
+        // Driving a classifier through `end_interval_from_detailed` with an external
         // accumulator must reproduce the owned-accumulator path exactly,
         // including full diagnostics.
         let mut owned = paper_classifier();
@@ -769,7 +734,7 @@ mod tests {
         let mut acc = AccumulatorTable::new(ClassifierConfig::hpca2005().accumulators);
         acc.observe(BranchEvent::new(0x1000, 100));
         let before = acc.clone();
-        c.end_interval_from(&acc, 1.0);
+        c.end_interval_from_detailed(&acc, 1.0);
         assert_eq!(acc, before, "caller owns the accumulator lifecycle");
     }
 
@@ -778,7 +743,7 @@ mod tests {
     fn shared_accumulator_count_mismatch_panics() {
         let mut c = paper_classifier(); // 16 accumulators
         let acc = AccumulatorTable::new(64);
-        c.end_interval_from(&acc, 1.0);
+        c.end_interval_from_detailed(&acc, 1.0);
     }
 
     #[test]
@@ -787,12 +752,12 @@ mod tests {
         let mut c = paper_classifier(); // BBV extraction
         let ws =
             crate::extractor::WorkingSetExtractor::new(ClassifierConfig::hpca2005().accumulators);
-        c.end_interval_from(&ws, 1.0);
+        c.end_interval_from_detailed(&ws, 1.0);
     }
 
     #[test]
     fn custom_extractor_panic_escapes_to_caller() {
-        // The generic `end_interval_from` is open to downstream extractor
+        // The generic `end_interval_from_detailed` is open to downstream extractor
         // implementations, which the classifier cannot vouch for: a panic
         // inside `finalize_into` must propagate (the engine contains it
         // with a per-lane unwind boundary — see the experiments crate).
@@ -812,7 +777,7 @@ mod tests {
         }
         let mut c = paper_classifier();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.end_interval_from(&Exploding, 1.0)
+            c.end_interval_from_detailed(&Exploding, 1.0)
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();

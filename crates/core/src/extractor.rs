@@ -23,10 +23,11 @@
 //!
 //! [`AnyExtractor`] is the closed enum over those back-ends that the
 //! classifier and the experiment engine store; the open trait exists so
-//! downstream crates can drive [`PhaseClassifier::end_interval_from`]
-//! with their own feature pipelines.
+//! downstream crates can drive
+//! [`PhaseClassifier::end_interval_from_detailed`] with their own feature
+//! pipelines.
 //!
-//! [`PhaseClassifier::end_interval_from`]: crate::PhaseClassifier::end_interval_from
+//! [`PhaseClassifier::end_interval_from_detailed`]: crate::PhaseClassifier::end_interval_from_detailed
 
 use tpcp_trace::{BranchEvent, Frame};
 

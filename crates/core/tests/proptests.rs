@@ -39,6 +39,18 @@ fn signature_of(events: &[BranchEvent], dims: usize) -> Signature {
     Signature::from_accumulator(&acc, 6)
 }
 
+/// Observes one interval's events, then ends the interval.
+fn classify_interval(
+    c: &mut PhaseClassifier,
+    events: impl IntoIterator<Item = BranchEvent>,
+    cpi: f64,
+) -> PhaseId {
+    for ev in events {
+        c.observe(ev);
+    }
+    c.end_interval(cpi)
+}
+
 proptest! {
     /// Signature distance is a pseudometric: non-negative, symmetric,
     /// zero on identical inputs, and normalized into [0, 1].
@@ -73,7 +85,7 @@ proptest! {
             let mut c = PhaseClassifier::new(ClassifierConfig::hpca2005());
             intervals
                 .iter()
-                .map(|(evs, cpi)| c.classify_interval(evs.iter().copied(), *cpi))
+                .map(|(evs, cpi)| classify_interval(&mut c, evs.iter().copied(), *cpi))
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());
@@ -93,7 +105,7 @@ proptest! {
         let mut max_id = 0u32;
         let mut stable = 0u64;
         for (evs, cpi) in &intervals {
-            let id = c.classify_interval(evs.iter().copied(), *cpi);
+            let id = classify_interval(&mut c, evs.iter().copied(), *cpi);
             if !id.is_transition() {
                 stable += 1;
                 max_id = max_id.max(id.value());
@@ -112,7 +124,7 @@ proptest! {
         let cfg = ClassifierConfig::builder().min_count(0).build();
         let mut c = PhaseClassifier::new(cfg);
         for (evs, cpi) in &intervals {
-            let id = c.classify_interval(evs.iter().copied(), *cpi);
+            let id = classify_interval(&mut c, evs.iter().copied(), *cpi);
             prop_assert_ne!(id, PhaseId::TRANSITION);
         }
         prop_assert_eq!(c.transition_fraction(), 0.0);
@@ -126,7 +138,7 @@ proptest! {
         let mut c = PhaseClassifier::new(cfg);
         let mut last = PhaseId::TRANSITION;
         for _ in 0..=u32::from(min_count) + 1 {
-            last = c.classify_interval(events.iter().copied(), 1.0);
+            last = classify_interval(&mut c, events.iter().copied(), 1.0);
         }
         prop_assert!(!last.is_transition());
     }

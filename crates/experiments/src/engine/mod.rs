@@ -151,9 +151,9 @@ pub(crate) struct TraceGroup {
     /// The group's one BBV collection and SimPoint clustering, if any
     /// registration asked for it.
     pub(crate) simpoint: Option<SimPointLane>,
-    /// Which intervals of the trace the group's single replay decodes.
-    /// Defaults to [`ReplayPlan::full`]; a sampled plan routes the group
+    /// Which intervals of the trace the group's single replay decodes
     /// through the seek-driven [`PlannedReplay`](tpcp_trace::PlannedReplay).
+    /// Defaults to [`ReplayPlan::full`].
     pub(crate) plan: ReplayPlan,
 }
 
@@ -181,7 +181,6 @@ pub struct Engine {
     params: SuiteParams,
     groups: Vec<TraceGroup>,
     workers: Option<usize>,
-    pub(crate) telemetry: bool,
     pub(crate) cancel: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
     #[cfg(feature = "fault-inject")]
     faults: Option<Arc<crate::fault::FaultInjector>>,
@@ -194,20 +193,10 @@ impl Engine {
             params,
             groups: Vec::new(),
             workers: None,
-            telemetry: true,
             cancel: None,
             #[cfg(feature = "fault-inject")]
             faults: None,
         }
-    }
-
-    /// Enables or disables telemetry collection (on by default). Engine
-    /// results are bit-identical either way — collection never feeds back
-    /// into classification — so disabling it only zeroes the clock reads
-    /// and leaves [`EngineStats::telemetry`] empty.
-    pub fn with_telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
     }
 
     /// Attaches a fault injector: the sweep consults it for lane panics
@@ -290,10 +279,9 @@ impl Engine {
     /// replay; setting a plan affects *all* registrations sharing the
     /// `(kind, params)` group, because the group shares one replay.
     ///
-    /// A fully-covering plan ([`ReplayPlan::full`]) keeps the group on
-    /// the plain streaming path and is bit-identical to not calling this
-    /// at all. A plan that references intervals past the end of the trace
-    /// fails the group loudly ([`FailureCause::Plan`]).
+    /// A fully-covering plan ([`ReplayPlan::full`]) is bit-identical to
+    /// not calling this at all. A plan that references intervals past the
+    /// end of the trace fails the group loudly ([`FailureCause::Plan`]).
     pub fn with_plan(&mut self, kind: BenchmarkKind, plan: ReplayPlan) {
         let params = self.params;
         self.with_plan_at(kind, params, plan);

@@ -157,13 +157,10 @@ impl ClassifierLane {
             panic!("fault-inject: lane panic at interval {}", self.ids.len());
         }
         let cpi = summary.cpi();
-        let id = self.classifier.end_interval_from(features, cpi);
-        self.record(id, cpi, summary);
-    }
-
-    /// Classified-interval bookkeeping shared by the owned-accumulator and
-    /// shared-accumulator paths.
-    fn record(&mut self, id: PhaseId, cpi: f64, summary: &IntervalSummary) {
+        let id = self
+            .classifier
+            .end_interval_from_detailed(features, cpi)
+            .phase_id;
         self.ids.push(id);
         self.cpis.push(cpi);
         self.cov.observe(id, cpi);
@@ -213,18 +210,6 @@ impl ClassifierLane {
         for cell in self.cells {
             cell.set(run.clone());
         }
-    }
-}
-
-impl IntervalSink for ClassifierLane {
-    fn observe(&mut self, ev: &BranchEvent) {
-        self.classifier.observe(*ev);
-    }
-
-    fn end_interval(&mut self, summary: &IntervalSummary) {
-        let cpi = summary.cpi();
-        let id = self.classifier.end_interval(cpi);
-        self.record(id, cpi, summary);
     }
 }
 
@@ -399,26 +384,6 @@ mod tests {
         assert_eq!(direct.vectors, via_sink.vectors);
         assert_eq!(direct.summaries, via_sink.summaries);
         assert_eq!(BbvTrace::collect(trace.replay()).vectors, direct.vectors);
-    }
-
-    #[test]
-    fn classifier_lane_matches_run_classifier() {
-        let trace = SyntheticTrace::new(5_000)
-            .phase(PhaseSpec::uniform(0x1000, 4, 1.0))
-            .phase(PhaseSpec::uniform(0x9000, 4, 3.0))
-            .schedule(&[(0, 15), (1, 15)])
-            .generate();
-        let config = ClassifierConfig::hpca2005();
-        let reference = crate::classify::run_classifier(&trace, config);
-
-        let mut lane = ClassifierLane::new(config);
-        let cell = lane.request_run();
-        let mut replay = trace.replay();
-        let mut sinks: Vec<&mut dyn IntervalSink> = vec![&mut lane];
-        drive(&mut replay, &mut sinks);
-        lane.finish();
-
-        assert_eq!(cell.take(), reference);
     }
 
     #[test]

@@ -64,8 +64,8 @@ use std::time::Instant;
 
 use tpcp_core::{AnyExtractor, ExtractorKind, FeatureExtractor};
 use tpcp_trace::{
-    drive, BranchEvent, CodecError, Frame, IntervalSink, IntervalSource, IntervalSummary,
-    PlannedReplay, StreamingDecoder, TraceIndex,
+    drive, BranchEvent, Frame, IntervalSink, IntervalSummary, PlannedReplay, StreamingDecoder,
+    TraceIndex,
 };
 
 use crate::engine::error::{
@@ -146,8 +146,7 @@ impl EngineStats {
     }
 
     /// Where the sweep's time went: per-stage timers, cache counters,
-    /// and shard stats (empty when collection was disabled with
-    /// [`Engine::with_telemetry`]).
+    /// and shard stats.
     pub fn telemetry(&self) -> &TelemetrySnapshot {
         &self.telemetry
     }
@@ -191,8 +190,7 @@ impl Engine {
     /// trace failures.
     pub fn run(self, cache: &TraceCache) -> EngineStats {
         let workers = resolve_workers(self.workers);
-        let collect = self.telemetry;
-        let run_start = collect.then(Instant::now);
+        let run_start = Instant::now();
         let cancel = self.cancel.clone();
         #[cfg(feature = "fault-inject")]
         let faults = self.faults.clone();
@@ -248,8 +246,8 @@ impl Engine {
                     // The collector lives *outside* the replay's
                     // catch_unwind so a panicking group leaves its
                     // partial timings readable.
-                    let collector = GroupCollector::new(collect, group.lanes.len());
-                    let cache_mark = collector.mark();
+                    let collector = GroupCollector::new(group.lanes.len());
+                    let cache_mark = Instant::now();
                     let load = match cache.try_load_bytes_or_simulate(group.kind, &group.params) {
                         Ok(load) => load,
                         Err(error) => {
@@ -263,11 +261,9 @@ impl Engine {
                             }
                             let mut s = lock_ignore_poison(&stats);
                             s.report.record_failure(err);
-                            if collect {
-                                s.telemetry.record_cache(false, false);
-                                s.telemetry
-                                    .record_group(key, collector.into_group(cache_ns, 0, true));
-                            }
+                            s.telemetry.record_cache(false, false);
+                            s.telemetry
+                                .record_group(key, collector.into_group(cache_ns, 0, true));
                             continue;
                         }
                     };
@@ -293,9 +289,7 @@ impl Engine {
                     }));
                     let mut s = lock_ignore_poison(&stats);
                     let repaired = load.quarantined.is_some();
-                    if collect {
-                        s.telemetry.record_cache(load.hit, repaired);
-                    }
+                    s.telemetry.record_cache(load.hit, repaired);
                     if let Some(path) = load.quarantined {
                         s.report.record_quarantine(path);
                     }
@@ -311,21 +305,17 @@ impl Engine {
                         Ok(Ok((intervals, shards))) => {
                             s.intervals += intervals as u64;
                             s.sharded_groups += u64::from(shards >= 2);
-                            if collect {
-                                s.telemetry.record_group(
-                                    key,
-                                    collector.into_group(cache_ns, shards as u64, false),
-                                );
-                            }
+                            s.telemetry.record_group(
+                                key,
+                                collector.into_group(cache_ns, shards as u64, false),
+                            );
                             continue;
                         }
                         Ok(Err(cause)) => cause,
                         Err(payload) => FailureCause::Panic(panic_message(payload.as_ref())),
                     };
-                    if collect {
-                        s.telemetry
-                            .record_group(key.clone(), collector.into_group(cache_ns, 0, true));
-                    }
+                    s.telemetry
+                        .record_group(key.clone(), collector.into_group(cache_ns, 0, true));
                     let err = EngineError::Sweep(SweepError::Group { group: key, cause });
                     for handle in &handles {
                         handle(&err);
@@ -346,9 +336,7 @@ impl Engine {
                 .record_failure(EngineError::Sweep(SweepError::Lane(failure)));
         }
         stats.report.finalize();
-        if collect {
-            stats.telemetry.finalize(elapsed_ns(run_start));
-        }
+        stats.telemetry.finalize(elapsed_ns(run_start));
         stats
     }
 }
@@ -503,8 +491,8 @@ fn end_interval_isolated(
     accs: &[AnyExtractor],
     summary: &IntervalSummary,
     ctx: &ReplayCtx<'_>,
-    start: Option<Instant>,
-) -> Option<Instant> {
+    start: Instant,
+) -> Instant {
     let mut prev = start;
     let mut i = 0;
     while i < lanes.len() {
@@ -513,7 +501,7 @@ fn end_interval_isolated(
         let lane = &mut keyed.lane;
         match catch_unwind(AssertUnwindSafe(|| lane.end_interval_shared(acc, summary))) {
             Ok(()) => {
-                let end = ctx.collector.mark();
+                let end = Instant::now();
                 keyed.slot.add(span_ns(prev, end));
                 prev = end;
                 i += 1;
@@ -521,7 +509,7 @@ fn end_interval_isolated(
             Err(payload) => {
                 // Cold path: re-mark so the buried lane's cost is not
                 // billed to its successor.
-                prev = ctx.collector.mark();
+                prev = Instant::now();
                 let lane = lanes.swap_remove(i).retire(ctx.collector);
                 ctx.fail_lane(lane, payload.as_ref());
             }
@@ -540,7 +528,7 @@ struct SharedFrontEnd<'a> {
     front: FrontEnd,
     lanes: Vec<KeyedLane>,
     ctx: &'a ReplayCtx<'a>,
-    window: Option<Instant>,
+    window: Instant,
 }
 
 impl IntervalSink for SharedFrontEnd<'_> {
@@ -554,7 +542,7 @@ impl IntervalSink for SharedFrontEnd<'_> {
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
         self.front.fold();
-        let boundary = self.ctx.collector.mark();
+        let boundary = Instant::now();
         self.ctx.collector.close_window(self.window, boundary);
         let end = end_interval_isolated(
             &mut self.lanes,
@@ -586,7 +574,7 @@ struct BroadcastFrontEnd<'a> {
     front: FrontEnd,
     senders: Vec<mpsc::SyncSender<Arc<Snapshot>>>,
     collector: &'a GroupCollector,
-    window: Option<Instant>,
+    window: Instant,
 }
 
 impl IntervalSink for BroadcastFrontEnd<'_> {
@@ -600,13 +588,13 @@ impl IntervalSink for BroadcastFrontEnd<'_> {
 
     fn end_interval(&mut self, summary: &IntervalSummary) {
         self.front.fold();
-        let boundary = self.collector.mark();
+        let boundary = Instant::now();
         self.collector.close_window(self.window, boundary);
         let snap = Arc::new(Snapshot {
             accs: self.front.accs.clone(),
             summary: *summary,
         });
-        let wait = self.collector.mark();
+        let wait = Instant::now();
         for tx in &self.senders {
             if tx.send(Arc::clone(&snap)).is_err() {
                 // A shard thread died mid-replay (only possible through
@@ -616,38 +604,11 @@ impl IntervalSink for BroadcastFrontEnd<'_> {
                 panic!("lane shard channel closed mid-replay");
             }
         }
-        let sent = self.collector.mark();
+        let sent = Instant::now();
         self.collector.add_shard_wait(span_ns(wait, sent));
         self.front.reset();
         // Reuse the post-send mark as the next window's start.
         self.window = sent;
-    }
-}
-
-/// One group's interval source: the plain streaming decoder for full
-/// plans — the exact pre-plan path, so full replays stay bit-identical by
-/// construction — or a seek-driven [`PlannedReplay`] for sampled plans.
-/// Either way the lanes downstream see one gap-free interval stream.
-enum GroupReplay<'a> {
-    Full(StreamingDecoder<'a>),
-    Planned(PlannedReplay<'a>),
-}
-
-impl GroupReplay<'_> {
-    /// The source [`drive`] replays.
-    fn source(&mut self) -> &mut dyn IntervalSource {
-        match self {
-            Self::Full(d) => d,
-            Self::Planned(p) => p,
-        }
-    }
-
-    /// The decode error that ended the stream early, if any.
-    fn error(&self) -> Option<CodecError> {
-        match self {
-            Self::Full(d) => d.error(),
-            Self::Planned(p) => p.error(),
-        }
     }
 }
 
@@ -684,21 +645,16 @@ fn replay_group(
         Ok(decoder) => decoder,
         Err(e) => return Err(FailureCause::Decode(e)),
     };
-    let mut replay = if group.plan.is_full() {
-        GroupReplay::Full(decoder)
-    } else {
-        // A sampled plan seeks across its gaps via the cache's validated
-        // index. Construction re-checks plan/index/payload agreement, so
-        // a plan built for a different trace fails the group here,
-        // loudly, instead of silently decoding the wrong intervals.
-        match PlannedReplay::new(decoder, index, &group.plan) {
-            Ok(planned) => {
-                ctx.collector.set_skip(planned.skip_stats());
-                GroupReplay::Planned(planned)
-            }
-            Err(e) => return Err(FailureCause::Plan(e)),
-        }
+    // The plan seeks across its gaps via the cache's validated index (a
+    // full plan is the one range `[0, n)`: no seeks, zero skips).
+    // Construction re-checks plan/index/payload agreement, so a plan built
+    // for a different trace fails the group here, loudly, instead of
+    // silently decoding the wrong intervals.
+    let mut replay = match PlannedReplay::new(decoder, index, &group.plan) {
+        Ok(planned) => planned,
+        Err(e) => return Err(FailureCause::Plan(e)),
     };
+    ctx.collector.set_skip(replay.skip_stats());
     let (front, keyed) = keyed_lanes(std::mem::take(&mut group.lanes));
     if let Some(simpoint) = group.simpoint.take() {
         group.raw.push(Box::new(simpoint));
@@ -718,7 +674,7 @@ fn replay_group(
                 front,
                 senders: Vec::with_capacity(shards),
                 collector: ctx.collector,
-                window: ctx.collector.mark(),
+                window: Instant::now(),
             };
             for mut lanes in shard_lanes {
                 let (tx, rx) = mpsc::sync_channel::<Arc<Snapshot>>(SNAPSHOT_CHANNEL_DEPTH);
@@ -726,7 +682,7 @@ fn replay_group(
                 let abort = &abort;
                 scope.spawn(move || {
                     while let Ok(snap) = rx.recv() {
-                        let start = ctx.collector.mark();
+                        let start = Instant::now();
                         end_interval_isolated(&mut lanes, &snap.accs, &snap.summary, ctx, start);
                     }
                     // Channel closed: the replay is over; finalize here so
@@ -739,7 +695,7 @@ fn replay_group(
                             keyed.retire(ctx.collector);
                         }
                     } else {
-                        let mark = ctx.collector.mark();
+                        let mark = Instant::now();
                         for keyed in lanes {
                             keyed.retire(ctx.collector).finish();
                         }
@@ -752,7 +708,7 @@ fn replay_group(
             for raw in &mut group.raw {
                 sinks.push(raw.as_mut() as &mut dyn IntervalSink);
             }
-            let intervals = drive(replay.source(), &mut sinks);
+            let intervals = drive(&mut replay, &mut sinks);
             if replay.error().is_some() {
                 // Must be set before the channels close below, so shard
                 // threads observe it when their `recv` loop ends.
@@ -767,17 +723,17 @@ fn replay_group(
             front,
             lanes: keyed,
             ctx,
-            window: ctx.collector.mark(),
+            window: Instant::now(),
         };
         let mut sinks: Vec<&mut dyn IntervalSink> = Vec::with_capacity(1 + group.raw.len());
         sinks.push(&mut front);
         for raw in &mut group.raw {
             sinks.push(raw.as_mut() as &mut dyn IntervalSink);
         }
-        let intervals = drive(replay.source(), &mut sinks);
+        let intervals = drive(&mut replay, &mut sinks);
         drop(sinks);
         if replay.error().is_none() {
-            let mark = ctx.collector.mark();
+            let mark = Instant::now();
             for keyed in front.lanes {
                 keyed.retire(ctx.collector).finish();
             }
@@ -795,7 +751,7 @@ fn replay_group(
     if let Some(e) = replay.error() {
         return Err(FailureCause::Decode(e));
     }
-    let mark = ctx.collector.mark();
+    let mark = Instant::now();
     for raw in group.raw {
         raw.finish();
     }

@@ -21,12 +21,14 @@
 //!   from a slow shard is visible as wait time).
 //!
 //! **Zero overhead on the result path.** Timers read a monotonic clock
-//! ([`Instant`]) only at interval boundaries and only when collection is
-//! enabled; counters are plain `u64` adds into pre-sized per-lane slots,
-//! merged into the shared [`GroupCollector`] once per lane at finish (or
-//! failure) time. Nothing telemetry does feeds back into classification,
-//! so engine results are bit-identical with collection on or off — a
-//! regression test asserts this.
+//! ([`Instant`]) only at interval boundaries; counters are plain `u64`
+//! adds into pre-sized per-lane slots, merged into the shared
+//! [`GroupCollector`] once per lane at finish (or failure) time. Nothing
+//! telemetry does feeds back into classification.
+//!
+//! **Export.** [`TelemetrySnapshot::to_json`] renders the snapshot
+//! (schema `tpcp-telemetry-v1`) with the workspace's one JSON writer,
+//! [`Json`]; the bench report embeds [`TelemetrySnapshot::to_value`].
 //!
 //! **Fault tolerance.** A failed group keeps the timings it accumulated
 //! before dying: its [`GroupTelemetry`] is recorded with
@@ -46,24 +48,20 @@ use std::time::Instant;
 use tpcp_trace::SkipStats;
 
 use crate::engine::error::lock_ignore_poison;
+use crate::json::Json;
 
-/// Nanoseconds elapsed since a (possibly disabled) mark.
+/// Nanoseconds elapsed since a mark.
 #[inline]
-pub(crate) fn elapsed_ns(mark: Option<Instant>) -> u64 {
-    mark.map_or(0, |t| {
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    })
+pub(crate) fn elapsed_ns(mark: Instant) -> u64 {
+    u64::try_from(mark.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Nanoseconds between two (possibly disabled) marks. Lets hot loops
-/// chain timestamps — one lane's end mark is the next lane's start — so
-/// timing N lanes costs N + 1 clock reads instead of 2N.
+/// Nanoseconds between two marks. Lets hot loops chain timestamps — one
+/// lane's end mark is the next lane's start — so timing N lanes costs
+/// N + 1 clock reads instead of 2N.
 #[inline]
-pub(crate) fn span_ns(start: Option<Instant>, end: Option<Instant>) -> u64 {
-    match (start, end) {
-        (Some(s), Some(e)) => u64::try_from(e.duration_since(s).as_nanos()).unwrap_or(u64::MAX),
-        _ => 0,
-    }
+pub(crate) fn span_ns(start: Instant, end: Instant) -> u64 {
+    u64::try_from(end.duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Per-stage wall-clock totals, in nanoseconds. Stage totals sum time
@@ -90,6 +88,16 @@ impl StageNanos {
         self.classify_ns += other.classify_ns;
         self.finish_ns += other.finish_ns;
         self.shard_send_wait_ns += other.shard_send_wait_ns;
+    }
+
+    fn to_value(self) -> Json {
+        Json::object([
+            ("cache_load_ns", self.cache_load_ns.into()),
+            ("decode_accumulate_ns", self.decode_accumulate_ns.into()),
+            ("classify_ns", self.classify_ns.into()),
+            ("finish_ns", self.finish_ns.into()),
+            ("shard_send_wait_ns", self.shard_send_wait_ns.into()),
+        ])
     }
 }
 
@@ -159,7 +167,7 @@ pub struct GroupTelemetry {
 
 /// Everything the sweep observed about itself: per-group stage timings
 /// rolled up into sweep-wide totals, cache behaviour, and shard stats.
-/// Returned inside [`EngineStats`](crate::EngineStats); field order in
+/// Returned inside [`EngineStats`](crate::EngineStats); key order in
 /// [`to_json`](Self::to_json) is fixed, and groups/lanes are sorted, so
 /// two snapshots of identical runs differ only in measured durations.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -172,8 +180,9 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Whether collection was enabled for the run that produced this
-    /// snapshot. A disabled snapshot is empty.
+    /// Whether an engine run produced this snapshot. The default
+    /// snapshot, which stands in for runs without an engine, is empty and
+    /// reports `false`.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -234,82 +243,60 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Serializes the snapshot as pretty-printed JSON with a fixed field
-    /// order (schema `tpcp-telemetry-v1`). Like the bench report, the
-    /// JSON is hand-rolled: the workspace has no JSON dependency. Lane
-    /// objects use `"label"` keys (never `"name"`) so embedding a
-    /// snapshot inside a `BENCH_*.json` cannot confuse that report's
-    /// lane-rate scanner.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        self.write_json(&mut out, 0);
-        out.push('\n');
-        out
+    /// The snapshot as a [`Json`] value (schema `tpcp-telemetry-v1`,
+    /// fixed key order), for embedding in an enclosing document. Lane
+    /// objects use `"label"` keys (never `"name"`) so embedding a snapshot
+    /// inside a `BENCH_*.json` cannot confuse that report's lane-rate
+    /// scanner.
+    pub fn to_value(&self) -> Json {
+        let groups = self.groups.iter().map(|(key, group)| {
+            // New lane keys append after the originals —
+            // `tpcp-telemetry-v1` consumers index by key, never by
+            // position.
+            let lanes = group.lanes.iter().map(|lane| {
+                Json::object([
+                    ("label", lane.label.as_str().into()),
+                    ("extractor", lane.extractor.as_str().into()),
+                    ("intervals", lane.intervals.into()),
+                    ("classify_ns", lane.classify_ns.into()),
+                    ("intervals_per_sec", lane.intervals_per_sec().into()),
+                    ("intervals_skipped", lane.intervals_skipped.into()),
+                    ("bytes_skipped", lane.bytes_skipped.into()),
+                    ("seek_count", lane.seek_count.into()),
+                ])
+            });
+            let group = Json::object([
+                ("intervals", group.intervals.into()),
+                ("shards", group.shards.into()),
+                ("partial", group.partial.into()),
+                ("stages", group.stages.to_value()),
+                ("lanes", Json::Array(lanes.collect())),
+            ]);
+            (key.as_str(), group)
+        });
+        Json::object([
+            ("schema", "tpcp-telemetry-v1".into()),
+            ("enabled", self.enabled.into()),
+            ("wall_ns", self.wall_ns.into()),
+            (
+                "cache",
+                Json::object([
+                    ("hits", self.cache.hits.into()),
+                    ("misses", self.cache.misses.into()),
+                    ("quarantines", self.cache.quarantines.into()),
+                ]),
+            ),
+            ("stages", self.stages.to_value()),
+            ("total_intervals", self.total_intervals().into()),
+            ("sharded_groups", self.sharded_groups().into()),
+            ("groups", Json::object(groups)),
+        ])
     }
 
-    /// Writes the snapshot as a JSON object at the given indent depth
-    /// (no leading indent before the opening brace and no trailing
-    /// newline), for embedding after a key in an enclosing document.
-    pub fn write_json(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let _ = writeln!(out, "{{\n{pad}  \"schema\": \"tpcp-telemetry-v1\",");
-        let _ = writeln!(out, "{pad}  \"enabled\": {},", self.enabled);
-        let _ = writeln!(out, "{pad}  \"wall_ns\": {},", self.wall_ns);
-        let _ = writeln!(
-            out,
-            "{pad}  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"quarantines\": {} }},",
-            self.cache.hits, self.cache.misses, self.cache.quarantines
-        );
-        let _ = write!(out, "{pad}  \"stages\": ");
-        write_stages(out, &self.stages);
-        let _ = writeln!(
-            out,
-            ",\n{pad}  \"total_intervals\": {},",
-            self.total_intervals()
-        );
-        let _ = writeln!(out, "{pad}  \"sharded_groups\": {},", self.sharded_groups());
-        let _ = write!(out, "{pad}  \"groups\": {{");
-        for (i, (key, group)) in self.groups.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{}\n{pad}    {}: {{",
-                if i > 0 { "," } else { "" },
-                json_string(key)
-            );
-            let _ = writeln!(out, "{pad}      \"intervals\": {},", group.intervals);
-            let _ = writeln!(out, "{pad}      \"shards\": {},", group.shards);
-            let _ = writeln!(out, "{pad}      \"partial\": {},", group.partial);
-            let _ = write!(out, "{pad}      \"stages\": ");
-            write_stages(out, &group.stages);
-            let _ = write!(out, ",\n{pad}      \"lanes\": [");
-            for (j, lane) in group.lanes.iter().enumerate() {
-                // New keys append after the originals — `tpcp-telemetry-v1`
-                // consumers index by key, never by position.
-                let _ = write!(
-                    out,
-                    "{}\n{pad}        {{ \"label\": {}, \"extractor\": {}, \"intervals\": {}, \
-                     \"classify_ns\": {}, \"intervals_per_sec\": {:.3}, \
-                     \"intervals_skipped\": {}, \"bytes_skipped\": {}, \"seek_count\": {} }}",
-                    if j > 0 { "," } else { "" },
-                    json_string(&lane.label),
-                    json_string(&lane.extractor),
-                    lane.intervals,
-                    lane.classify_ns,
-                    lane.intervals_per_sec(),
-                    lane.intervals_skipped,
-                    lane.bytes_skipped,
-                    lane.seek_count
-                );
-            }
-            if !group.lanes.is_empty() {
-                let _ = write!(out, "\n{pad}      ");
-            }
-            let _ = write!(out, "]\n{pad}    }}");
-        }
-        if !self.groups.is_empty() {
-            let _ = write!(out, "\n{pad}  ");
-        }
-        let _ = write!(out, "}}\n{pad}}}");
+    /// The snapshot as a JSON document ([`to_value`](Self::to_value),
+    /// rendered).
+    pub fn to_json(&self) -> String {
+        self.to_value().render()
     }
 
     /// Renders the human one-page summary appended to
@@ -378,40 +365,6 @@ impl TelemetrySnapshot {
     }
 }
 
-fn write_stages(out: &mut String, st: &StageNanos) {
-    let _ = write!(
-        out,
-        "{{ \"cache_load_ns\": {}, \"decode_accumulate_ns\": {}, \"classify_ns\": {}, \
-         \"finish_ns\": {}, \"shard_send_wait_ns\": {} }}",
-        st.cache_load_ns,
-        st.decode_accumulate_ns,
-        st.classify_ns,
-        st.finish_ns,
-        st.shard_send_wait_ns
-    );
-}
-
-/// JSON-escapes and quotes a string (mirrors the bench report's escaper).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A per-lane telemetry slot: two plain counters bumped on the lane's
 /// owning thread at each boundary, flushed into the [`GroupCollector`]
 /// once when the lane finishes or dies. Pre-sized (it travels inside the
@@ -435,7 +388,6 @@ impl LaneSlot {
 /// outside the group's `catch_unwind`, so a panicking replay leaves its
 /// partial timings readable.
 pub(crate) struct GroupCollector {
-    enabled: bool,
     decode_accumulate_ns: AtomicU64,
     classify_ns: AtomicU64,
     finish_ns: AtomicU64,
@@ -448,9 +400,8 @@ pub(crate) struct GroupCollector {
 }
 
 impl GroupCollector {
-    pub(crate) fn new(enabled: bool, lane_count: usize) -> Self {
+    pub(crate) fn new(lane_count: usize) -> Self {
         Self {
-            enabled,
             decode_accumulate_ns: AtomicU64::new(0),
             classify_ns: AtomicU64::new(0),
             finish_ns: AtomicU64::new(0),
@@ -459,17 +410,14 @@ impl GroupCollector {
             intervals_skipped: AtomicU64::new(0),
             bytes_skipped: AtomicU64::new(0),
             seek_count: AtomicU64::new(0),
-            lanes: Mutex::new(Vec::with_capacity(if enabled { lane_count } else { 0 })),
+            lanes: Mutex::new(Vec::with_capacity(lane_count)),
         }
     }
 
-    /// Records the group's replay-plan skip totals, stamped onto every
-    /// lane flushed afterwards. Called once per group, before the replay
-    /// starts driving lanes; a full replay never calls it (zeros stand).
+    /// Records the group's replay-plan skip totals (zeros on a full
+    /// plan), stamped onto every lane flushed afterwards. Called once per
+    /// group, before the replay starts driving lanes.
     pub(crate) fn set_skip(&self, stats: SkipStats) {
-        if !self.enabled {
-            return;
-        }
         self.intervals_skipped
             .store(stats.intervals_skipped, Ordering::Relaxed);
         self.bytes_skipped
@@ -477,22 +425,13 @@ impl GroupCollector {
         self.seek_count.store(stats.seeks, Ordering::Relaxed);
     }
 
-    /// A monotonic mark, or `None` when collection is disabled (every
-    /// downstream `elapsed_ns` then records 0 without reading the clock).
-    #[inline]
-    pub(crate) fn mark(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
     /// Closes one streaming window: the time from the previous boundary
     /// (or replay start) to `boundary` is decode + accumulation.
     #[inline]
-    pub(crate) fn close_window(&self, window_start: Option<Instant>, boundary: Option<Instant>) {
-        if window_start.is_some() && boundary.is_some() {
-            self.decode_accumulate_ns
-                .fetch_add(span_ns(window_start, boundary), Ordering::Relaxed);
-            self.intervals.fetch_add(1, Ordering::Relaxed);
-        }
+    pub(crate) fn close_window(&self, window_start: Instant, boundary: Instant) {
+        self.decode_accumulate_ns
+            .fetch_add(span_ns(window_start, boundary), Ordering::Relaxed);
+        self.intervals.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -507,9 +446,6 @@ impl GroupCollector {
     /// Merges a lane's slot into the group (once, when the lane finishes
     /// or is buried after a panic).
     pub(crate) fn flush_lane(&self, label: String, extractor: &str, slot: LaneSlot) {
-        if !self.enabled {
-            return;
-        }
         self.classify_ns
             .fetch_add(slot.classify_ns, Ordering::Relaxed);
         lock_ignore_poison(&self.lanes).push(LaneTelemetry {
@@ -560,9 +496,10 @@ mod tests {
         let mut snap = TelemetrySnapshot::default();
         snap.record_cache(true, false);
         snap.record_cache(false, true);
-        let collector = GroupCollector::new(true, 2);
-        collector.close_window(collector.mark(), collector.mark());
-        collector.close_window(collector.mark(), collector.mark());
+        let collector = GroupCollector::new(2);
+        let now = Instant::now();
+        collector.close_window(now, now);
+        collector.close_window(now, now);
         let mut slot = LaneSlot::default();
         slot.add(1_000);
         slot.add(2_000);
@@ -660,7 +597,7 @@ mod tests {
     #[test]
     fn lane_json_carries_skip_keys_append_only() {
         let mut snap = TelemetrySnapshot::default();
-        let collector = GroupCollector::new(true, 1);
+        let collector = GroupCollector::new(1);
         collector.set_skip(SkipStats {
             intervals_skipped: 7,
             bytes_skipped: 1234,
@@ -695,6 +632,103 @@ mod tests {
         assert!(
             full.contains("\"intervals_skipped\": 0, \"bytes_skipped\": 0, \"seek_count\": 0"),
             "{full}"
+        );
+    }
+
+    /// The engine document, byte for byte, from fixed counters and
+    /// timings (no clock reads): a sharded group whose lanes carry
+    /// escaped labels, a non-round rate and skip totals, and a partial
+    /// group with no lanes.
+    #[test]
+    fn engine_document_is_byte_identical_to_the_golden_copy() {
+        let lane = |label: &str, extractor: &str, intervals, classify_ns, skipped| LaneTelemetry {
+            label: label.into(),
+            extractor: extractor.into(),
+            intervals,
+            classify_ns,
+            intervals_skipped: skipped,
+            bytes_skipped: skipped * 100,
+            seek_count: skipped / 2,
+        };
+        let mut snap = TelemetrySnapshot::default();
+        snap.record_cache(true, false);
+        snap.record_cache(false, true);
+        snap.record_group(
+            "gcc-s-00ff".into(),
+            GroupTelemetry {
+                stages: StageNanos {
+                    cache_load_ns: 1,
+                    decode_accumulate_ns: 2,
+                    classify_ns: 3,
+                    finish_ns: 4,
+                    shard_send_wait_ns: 5,
+                },
+                intervals: 7,
+                shards: 2,
+                lanes: vec![
+                    lane("a \"quoted\" \\ lane\t\u{1}", "bbv", 7, 3, 0),
+                    lane("b-lane", "working-set", 7, 0, 6),
+                ],
+                partial: false,
+            },
+        );
+        snap.record_group(
+            "mcf-00ff".into(),
+            GroupTelemetry {
+                stages: StageNanos {
+                    cache_load_ns: 10,
+                    ..StageNanos::default()
+                },
+                intervals: 0,
+                shards: 0,
+                lanes: Vec::new(),
+                partial: true,
+            },
+        );
+        snap.finalize(1_000_000);
+        let expected = r#"{
+  "schema": "tpcp-telemetry-v1",
+  "enabled": true,
+  "wall_ns": 1000000,
+  "cache": { "hits": 1, "misses": 1, "quarantines": 1 },
+  "stages": { "cache_load_ns": 11, "decode_accumulate_ns": 2, "classify_ns": 3, "finish_ns": 4, "shard_send_wait_ns": 5 },
+  "total_intervals": 7,
+  "sharded_groups": 1,
+  "groups": {
+    "gcc-s-00ff": {
+      "intervals": 7,
+      "shards": 2,
+      "partial": false,
+      "stages": { "cache_load_ns": 1, "decode_accumulate_ns": 2, "classify_ns": 3, "finish_ns": 4, "shard_send_wait_ns": 5 },
+      "lanes": [
+        { "label": "a \"quoted\" \\ lane\t\u0001", "extractor": "bbv", "intervals": 7, "classify_ns": 3, "intervals_per_sec": 2333333333.333, "intervals_skipped": 0, "bytes_skipped": 0, "seek_count": 0 },
+        { "label": "b-lane", "extractor": "working-set", "intervals": 7, "classify_ns": 0, "intervals_per_sec": 0.000, "intervals_skipped": 6, "bytes_skipped": 600, "seek_count": 3 }
+      ]
+    },
+    "mcf-00ff": {
+      "intervals": 0,
+      "shards": 0,
+      "partial": true,
+      "stages": { "cache_load_ns": 10, "decode_accumulate_ns": 0, "classify_ns": 0, "finish_ns": 0, "shard_send_wait_ns": 0 },
+      "lanes": []
+    }
+  }
+}
+"#;
+        assert_eq!(snap.to_json(), expected);
+        assert_eq!(
+            TelemetrySnapshot::default().to_json(),
+            r#"{
+  "schema": "tpcp-telemetry-v1",
+  "enabled": false,
+  "wall_ns": 0,
+  "cache": { "hits": 0, "misses": 0, "quarantines": 0 },
+  "stages": { "cache_load_ns": 0, "decode_accumulate_ns": 0, "classify_ns": 0, "finish_ns": 0, "shard_send_wait_ns": 0 },
+  "total_intervals": 0,
+  "sharded_groups": 0,
+  "groups": {}
+}
+"#
         );
     }
 }

@@ -21,6 +21,7 @@ pub mod engine;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod figures;
+pub mod json;
 pub mod report;
 pub mod shutdown;
 pub mod suite;
@@ -31,5 +32,6 @@ pub use engine::{
     GroupTelemetry, LaneFailure, LaneTelemetry, Pending, PendingTables, SimPointRun, StageNanos,
     SweepError, TelemetrySnapshot,
 };
+pub use json::Json;
 pub use report::Table;
 pub use suite::{CacheError, CacheLoad, SuiteParams, TraceCache};

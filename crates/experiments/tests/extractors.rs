@@ -4,7 +4,7 @@
 //!
 //! 1. **Bit-identity for the default path.** The BBV extractor *is* the
 //!    pre-refactor `AccumulatorTable`; every route to a phase-ID stream —
-//!    the owned classifier, the legacy `end_interval_from(&acc, ..)`
+//!    the owned classifier, the legacy `end_interval_from_detailed(&acc, ..)`
 //!    call shape, and the engine's shared-accumulation sweep — must
 //!    reproduce the exact IDs the seed produced, on every workload model.
 //! 2. **Shape-keyed sharing for the new back-ends.** Lanes that differ in
@@ -27,7 +27,7 @@ fn config_for(kind: ExtractorKind) -> ClassifierConfig {
 }
 
 /// The legacy shared-accumulation call shape: an external
-/// [`AccumulatorTable`] driven through `end_interval_from`, reset by the
+/// [`AccumulatorTable`] driven through `end_interval_from_detailed`, reset by the
 /// caller each interval — exactly what pre-trait call sites did.
 fn classify_via_external_accumulator(
     trace: &tpcp_trace::RecordedTrace,
@@ -38,7 +38,11 @@ fn classify_via_external_accumulator(
     let mut ids = Vec::new();
     let mut replay = trace.replay();
     while let Some(summary) = replay.next_interval(&mut |ev| acc.observe(ev)) {
-        ids.push(classifier.end_interval_from(&acc, summary.cpi()));
+        ids.push(
+            classifier
+                .end_interval_from_detailed(&acc, summary.cpi())
+                .phase_id,
+        );
         acc.reset();
     }
     ids

@@ -2,12 +2,13 @@
 //! into JSON snapshots — periodically while running (when
 //! `--telemetry-interval` is set) and finally at drain.
 //!
-//! The JSON is hand-rolled (the workspace has no serialization
-//! dependency) with a fixed key order, so two drains of identical runs
+//! The document is written with the workspace's one JSON writer
+//! ([`Json`]) with a fixed key order, so two drains of identical runs
 //! produce byte-identical documents modulo the measured values.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use tpcp_experiments::Json;
 
 use crate::session::StoreCounters;
 
@@ -139,44 +140,45 @@ impl ServeTelemetry {
     /// The snapshot as a JSON document (fixed key order, trailing
     /// newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1536);
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"tpcp-serve-telemetry-v3\",");
-        let _ = writeln!(out, "  \"drained\": {},", self.drained);
-        let _ = writeln!(out, "  \"workers\": {},", self.workers);
-        let _ = writeln!(out, "  \"connections\": {},", self.connections);
-        let _ = writeln!(out, "  \"frames_read\": {},", self.frames_read);
-        let _ = writeln!(out, "  \"frames_written\": {},", self.frames_written);
-        let _ = writeln!(out, "  \"malformed_frames\": {},", self.malformed_frames);
-        let _ = writeln!(out, "  \"oversized_frames\": {},", self.oversized_frames);
-        let _ = writeln!(out, "  \"invalid_cpi\": {},", self.invalid_cpi);
-        let _ = writeln!(out, "  \"idle_closes\": {},", self.idle_closes);
-        let _ = writeln!(out, "  \"stalled_closes\": {},", self.stalled_closes);
-        let _ = writeln!(out, "  \"truncated_closes\": {},", self.truncated_closes);
-        let _ = writeln!(out, "  \"accept_failures\": {{");
-        let _ = writeln!(out, "    \"tcp\": {},", self.accept_failures_tcp);
-        let _ = writeln!(out, "    \"unix\": {}", self.accept_failures_unix);
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"intervals\": {},", self.intervals);
-        let _ = writeln!(out, "  \"queries\": {},", self.queries);
-        let _ = writeln!(out, "  \"queued_responses\": {},", self.queued_responses);
-        let _ = writeln!(out, "  \"sessions\": {{");
-        let _ = writeln!(out, "    \"created\": {},", self.store.created);
-        let _ = writeln!(out, "    \"evictions\": {},", self.store.evictions);
-        let _ = writeln!(out, "    \"restores\": {},", self.store.restores);
-        let _ = writeln!(out, "    \"parked_drops\": {},", self.store.parked_drops);
-        let _ = writeln!(out, "    \"closed\": {}", self.store.closed);
-        let _ = writeln!(out, "  }},");
-        let _ = write!(out, "  \"shards\": [");
-        for (i, (live, parked)) in self.shards.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(out, "{{\"live\": {live}, \"parked\": {parked}}}");
-        }
-        let _ = writeln!(out, "]");
-        let _ = writeln!(out, "}}");
-        out
+        let shards = self.shards.iter().map(|&(live, parked)| {
+            Json::object([("live", live.into()), ("parked", parked.into())])
+        });
+        Json::object([
+            ("schema", "tpcp-serve-telemetry-v3".into()),
+            ("drained", self.drained.into()),
+            ("workers", self.workers.into()),
+            ("connections", self.connections.into()),
+            ("frames_read", self.frames_read.into()),
+            ("frames_written", self.frames_written.into()),
+            ("malformed_frames", self.malformed_frames.into()),
+            ("oversized_frames", self.oversized_frames.into()),
+            ("invalid_cpi", self.invalid_cpi.into()),
+            ("idle_closes", self.idle_closes.into()),
+            ("stalled_closes", self.stalled_closes.into()),
+            ("truncated_closes", self.truncated_closes.into()),
+            (
+                "accept_failures",
+                Json::object([
+                    ("tcp", self.accept_failures_tcp.into()),
+                    ("unix", self.accept_failures_unix.into()),
+                ]),
+            ),
+            ("intervals", self.intervals.into()),
+            ("queries", self.queries.into()),
+            ("queued_responses", self.queued_responses.into()),
+            (
+                "sessions",
+                Json::object([
+                    ("created", self.store.created.into()),
+                    ("evictions", self.store.evictions.into()),
+                    ("restores", self.store.restores.into()),
+                    ("parked_drops", self.store.parked_drops.into()),
+                    ("closed", self.store.closed.into()),
+                ]),
+            ),
+            ("shards", Json::Array(shards.collect())),
+        ])
+        .render()
     }
 }
 
@@ -206,7 +208,9 @@ mod tests {
         assert!(json.contains("\"parked_drops\": 0"));
         assert!(json.contains("\"invalid_cpi\": 0"));
         assert!(json.contains("\"tcp\": 1"));
-        assert!(json.contains("{\"live\": 3, \"parked\": 1}, {\"live\": 0, \"parked\": 0}"));
+        assert!(
+            json.contains("{ \"live\": 3, \"parked\": 1 },\n    { \"live\": 0, \"parked\": 0 }")
+        );
         // Balanced braces: the hand-rolled document must stay parseable.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.ends_with("}\n"));

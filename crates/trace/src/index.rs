@@ -399,9 +399,9 @@ fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, IndexError> {
 ///
 /// Constructed ranges are sorted, overlap-merged, and adjacent-merged, so
 /// downstream consumers can assume each range is preceded by a real gap.
-/// A `Full` plan is not the same as a plan covering every interval
-/// operationally — `Full` replays through the plain streaming path with
-/// zero seek machinery — but both deliver the identical event stream.
+/// [`PlannedReplay`] treats the full plan as the single range `[0, n)`
+/// of an `n`-interval trace, so it never seeks and delivers the same
+/// stream as a plain [`StreamingDecoder`] replay.
 ///
 /// # Example
 ///
@@ -426,9 +426,7 @@ impl Default for ReplayPlan {
 }
 
 impl ReplayPlan {
-    /// The plan that replays every interval through the plain streaming
-    /// path (no index required, bit-identical to pre-plan replays by
-    /// construction).
+    /// The plan that replays every interval, whatever the trace length.
     pub fn full() -> Self {
         Self { ranges: None }
     }
