@@ -7,6 +7,9 @@
 //! streams them with one [`drive`] pass over a [`StreamingDecoder`] — the
 //! trace is never materialized, so a worker's memory footprint is the
 //! encoded buffer plus the lanes' own state regardless of trace length.
+//! Groups that differ only in interval size form a family, whose traces
+//! one simulation records: a family's loads take turns on one lock, so on
+//! a cold cache the first fills every member's entry and the rest hit.
 //!
 //! **Level 2 — lanes.** Inside a group, classifier lanes do not each
 //! re-run the per-branch feature extraction. A shared front-end keeps one
@@ -67,6 +70,7 @@ use tpcp_trace::{
     drive, BranchEvent, Frame, IntervalSink, IntervalSummary, PlannedReplay, StreamingDecoder,
     TraceIndex,
 };
+use tpcp_workloads::BenchmarkKind;
 
 use crate::engine::error::{
     lock_ignore_poison, panic_message, EngineError, FailureCause, FailureReport, LaneFailure,
@@ -75,7 +79,7 @@ use crate::engine::error::{
 use crate::engine::sink::ClassifierLane;
 use crate::engine::telemetry::{elapsed_ns, span_ns, GroupCollector, LaneSlot, TelemetrySnapshot};
 use crate::engine::{Engine, TraceGroup};
-use crate::suite::TraceCache;
+use crate::suite::{SuiteParams, TraceCache};
 
 /// A group only shards when each shard thread gets at least this many
 /// lanes; below that the per-interval snapshot clone + channel hop costs
@@ -173,6 +177,46 @@ fn resolve_workers(explicit: Option<usize>) -> usize {
         .unwrap_or(1)
 }
 
+/// Trace groups of one benchmark whose parameters differ only in
+/// interval size: one simulation records all their traces.
+struct Family {
+    kind: BenchmarkKind,
+    /// The members' parameters, interval size set aside.
+    params: SuiteParams,
+    /// Every member's interval size.
+    sizes: Vec<u64>,
+    /// Held around each member's cache load: on a cold cache the first
+    /// load simulates and writes every member's entry, and the members
+    /// waiting here then hit.
+    fill: Mutex<()>,
+}
+
+/// Sorts `groups` into families; returns them and each group's family.
+fn families(groups: &[TraceGroup]) -> (Vec<Family>, Vec<usize>) {
+    let mut families: Vec<Family> = Vec::new();
+    let family_of = groups
+        .iter()
+        .map(|g| {
+            let params = g.params.with_interval_size(0);
+            let i = families
+                .iter()
+                .position(|f| f.kind == g.kind && f.params == params)
+                .unwrap_or_else(|| {
+                    families.push(Family {
+                        kind: g.kind,
+                        params,
+                        sizes: Vec::new(),
+                        fill: Mutex::new(()),
+                    });
+                    families.len() - 1
+                });
+            families[i].sizes.push(g.params.workload.interval_size);
+            i
+        })
+        .collect();
+    (families, family_of)
+}
+
 impl Engine {
     /// Sweeps every registered trace once, filling or failing all
     /// [`Pending`](crate::engine::Pending) handles.
@@ -206,6 +250,7 @@ impl Engine {
                 }
             }
         }
+        let (families, family_of) = families(&group_list);
         let groups: Vec<Mutex<Option<TraceGroup>>> = group_list
             .into_iter()
             .map(|g| Mutex::new(Some(g)))
@@ -247,8 +292,13 @@ impl Engine {
                     // catch_unwind so a panicking group leaves its
                     // partial timings readable.
                     let collector = GroupCollector::new(group.lanes.len());
+                    let family = &families[family_of[i]];
                     let cache_mark = Instant::now();
-                    let load = match cache.try_load_bytes_or_simulate(group.kind, &group.params) {
+                    let load = {
+                        let _fill = lock_ignore_poison(&family.fill);
+                        cache.try_load_with_siblings(group.kind, &group.params, &family.sizes)
+                    };
+                    let load = match load {
                         Ok(load) => load,
                         Err(error) => {
                             let cache_ns = elapsed_ns(cache_mark);

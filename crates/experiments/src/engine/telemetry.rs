@@ -6,7 +6,8 @@
 //! stages, timed at interval boundaries (never per event):
 //!
 //! - **cache load** — [`TraceCache::try_load_bytes_or_simulate`], per
-//!   group, including any quarantine-and-re-simulate repair;
+//!   group, including any quarantine-and-re-simulate repair and the wait
+//!   for a sibling interval size's fill;
 //! - **decode + accumulate** — the streaming window between interval
 //!   boundaries, where the [`StreamingDecoder`] and the shared
 //!   [`AccumulatorTable`]s (plus any raw sinks) consume events. Decode
@@ -106,7 +107,11 @@ impl StageNanos {
 pub struct CacheCounters {
     /// Loads served from a valid on-disk entry.
     pub hits: u64,
-    /// Loads that fell through to simulation (no entry, or unreadable).
+    /// Loads that simulated (no entry, or an unreadable one): one per
+    /// simulation. A simulation writes the entries of every interval
+    /// size the sweep registers for its benchmark, so a cold
+    /// interval-size sweep counts one miss per benchmark and hits for
+    /// its other sizes.
     pub misses: u64,
     /// Corrupt entries renamed `*.corrupt` and re-simulated.
     pub quarantines: u64,

@@ -5,7 +5,6 @@
 
 use tpcp_core::{BitSelectionMode, ClassifierConfig};
 use tpcp_predict::{NextPhaseBreakdown, NextPhasePredictor, PredictorKind};
-use tpcp_workloads::WorkloadParams;
 
 use crate::classify::ClassifiedRun;
 use crate::engine::{Engine, Pending, PendingTables};
@@ -39,12 +38,7 @@ pub fn register_interval_sweep(engine: &mut Engine) -> PendingTables {
             sizes
                 .iter()
                 .map(|&size| {
-                    let swept = SuiteParams {
-                        workload: WorkloadParams {
-                            interval_size: size,
-                            ..params.workload
-                        },
-                    };
+                    let swept = params.with_interval_size(size);
                     engine.classified_at(kind, swept, ClassifierConfig::hpca2005())
                 })
                 .collect()

@@ -7,10 +7,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use tpcp_trace::{
-    decode_trace, encode_trace_with_index, validate_trace, CodecError, RecordedTrace, TraceIndex,
-    TRACE_FORMAT,
+    decode_trace, encode_trace_with_index, validate_trace, BranchEvent, CodecError,
+    RecordedInterval, RecordedTrace, TraceIndex, TRACE_FORMAT,
 };
-use tpcp_workloads::{BenchmarkKind, WorkloadParams};
+use tpcp_workloads::{BenchmarkKind, OpenInterval, WorkloadParams};
 
 /// A cache failure the bounded retry could not repair.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +80,17 @@ impl SuiteParams {
         }
     }
 
+    /// The same parameters at another interval size. The simulated block
+    /// stream does not depend on it, so one simulation serves both.
+    pub fn with_interval_size(self, interval_size: u64) -> Self {
+        Self {
+            workload: WorkloadParams {
+                interval_size,
+                ..self.workload
+            },
+        }
+    }
+
     /// A stable fingerprint of the parameters (and the workload model
     /// version), used in cache file names.
     pub fn fingerprint(&self) -> String {
@@ -104,6 +115,12 @@ impl SuiteParams {
 /// in lower case, so an entry written in another format is never opened:
 /// its sidecar would still vouch for its bytes, and the replay would fail
 /// on them.
+///
+/// Entries of one benchmark that differ only in interval size come from
+/// the same simulation ([`simulate_sizes`]). A miss made through the
+/// engine, which passes the interval sizes its sweep registers for the
+/// benchmark, simulates once and writes every one of those entries that
+/// is absent, so an interval-size sweep simulates each benchmark once.
 ///
 /// # Example
 ///
@@ -233,6 +250,24 @@ impl TraceCache {
         kind: BenchmarkKind,
         params: &SuiteParams,
     ) -> Result<CacheLoad, CacheError> {
+        self.try_load_with_siblings(kind, params, &[])
+    }
+
+    /// [`try_load_bytes_or_simulate`](Self::try_load_bytes_or_simulate)
+    /// for one of several entries of `kind` that differ from `params` only
+    /// in interval size, `siblings` being their sizes (`params`' own may
+    /// be among them). A hit is the same. A miss, or a quarantine repair,
+    /// simulates once for `params`' size and for every sibling whose
+    /// payload file is absent, and writes each of those entries, so the
+    /// siblings' own loads hit. An existing sibling file is never
+    /// overwritten (a corrupt one is quarantined by its own load), and a
+    /// directory that cannot be created gets no siblings simulated.
+    pub(crate) fn try_load_with_siblings(
+        &self,
+        kind: BenchmarkKind,
+        params: &SuiteParams,
+        siblings: &[u64],
+    ) -> Result<CacheLoad, CacheError> {
         let path = self.path_for(kind, params);
         let index_path = self.index_path_for(kind, params);
         let mut quarantined = None;
@@ -280,9 +315,28 @@ impl TraceCache {
                 }
             }
         }
-        let trace = simulate_one(kind, params);
-        let (encoded, index) = encode_trace_with_index(&trace);
-        if fs::create_dir_all(&self.dir).is_ok() {
+        let writable = fs::create_dir_all(&self.dir).is_ok();
+        let mut sizes = vec![params.workload.interval_size];
+        if writable {
+            for &size in siblings {
+                // `metadata`, not `read_entry`: a sibling's read faults
+                // belong to its own load.
+                if !sizes.contains(&size)
+                    && fs::metadata(self.path_for(kind, &params.with_interval_size(size))).is_err()
+                {
+                    sizes.push(size);
+                }
+            }
+        }
+        let traces = simulate_sizes(kind, params, &sizes);
+        for (&size, trace) in sizes.iter().zip(&traces).skip(1) {
+            let sibling = params.with_interval_size(size);
+            let (encoded, index) = encode_trace_with_index(trace);
+            self.write_atomic(&self.path_for(kind, &sibling), &encoded);
+            self.write_atomic(&self.index_path_for(kind, &sibling), &index.encode());
+        }
+        let (encoded, index) = encode_trace_with_index(&traces[0]);
+        if writable {
             self.write_atomic(&path, &encoded);
             self.write_atomic(&index_path, &index.encode());
         }
@@ -309,7 +363,8 @@ impl TraceCache {
     /// path atomic, so a concurrent reader never observes a half-written
     /// entry and concurrent writers (which produce identical bytes —
     /// simulation is deterministic) race benignly. A read-only target dir
-    /// only costs re-simulation next time.
+    /// only costs re-simulation next time. A failed write or rename removes
+    /// the temp file, which no later write would reuse.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) {
         let tmp = self.dir.join(format!(
             ".{}.{}.{}.tmp",
@@ -319,7 +374,10 @@ impl TraceCache {
             std::process::id(),
             next_temp_id(),
         ));
-        if fs::write(&tmp, bytes).is_ok() && fs::rename(&tmp, path).is_err() {
+        if fs::write(&tmp, bytes)
+            .and_then(|()| fs::rename(&tmp, path))
+            .is_err()
+        {
             let _ = fs::remove_file(&tmp);
         }
     }
@@ -348,25 +406,6 @@ impl TraceCache {
             }
         }
         bytes
-    }
-
-    /// Loads or simulates all eleven benchmarks, in parallel (one thread
-    /// per benchmark).
-    pub fn load_suite(&self, params: &SuiteParams) -> Vec<(BenchmarkKind, RecordedTrace)> {
-        let kinds = BenchmarkKind::ALL;
-        let mut results: Vec<Option<(BenchmarkKind, RecordedTrace)>> =
-            (0..kinds.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, &kind) in results.iter_mut().zip(kinds.iter()) {
-                scope.spawn(move || {
-                    *slot = Some((kind, self.load_or_simulate(kind, params)));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot was filled"))
-            .collect()
     }
 }
 
@@ -409,10 +448,68 @@ fn next_temp_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Simulates one benchmark to completion.
+/// Simulates one benchmark to completion at `params`' interval size:
+/// [`simulate_sizes`] with that one size, so every cached trace is
+/// recorded by one path.
 pub fn simulate_one(kind: BenchmarkKind, params: &SuiteParams) -> RecordedTrace {
-    let benchmark = kind.build(&params.workload);
-    RecordedTrace::record(benchmark.simulate(&params.workload))
+    simulate_sizes(kind, params, &[params.workload.interval_size]).swap_remove(0)
+}
+
+/// Simulates one benchmark once and cuts its block stream at each of
+/// `sizes` (instructions per interval): entry `i` equals [`simulate_one`]
+/// at `params` with interval size `sizes[i]`. Interval size only decides
+/// where an interval closes ([`OpenInterval`]), so the one simulation
+/// serves every size.
+///
+/// # Panics
+///
+/// Panics if a size is zero.
+pub fn simulate_sizes(
+    kind: BenchmarkKind,
+    params: &SuiteParams,
+    sizes: &[u64],
+) -> Vec<RecordedTrace> {
+    assert!(
+        sizes.iter().all(|&s| s > 0),
+        "interval size must be positive"
+    );
+    let mut sim = kind.build(&params.workload).simulate(&params.workload);
+    let mut cuts: Vec<Cut> = sizes.iter().map(|_| Cut::default()).collect();
+    while let Some((event, cycles, metrics)) = sim.next_block() {
+        for (cut, &size) in cuts.iter_mut().zip(sizes) {
+            cut.events.push(event);
+            if cut.open.add(event, cycles, &metrics, size) {
+                cut.close();
+            }
+        }
+    }
+    cuts.into_iter()
+        .map(|mut cut| {
+            cut.close();
+            cut.trace
+        })
+        .collect()
+}
+
+/// One interval size's recording in [`simulate_sizes`]: the open
+/// interval, its events so far, and the intervals already closed.
+#[derive(Default)]
+struct Cut {
+    open: OpenInterval,
+    events: Vec<BranchEvent>,
+    trace: RecordedTrace,
+}
+
+impl Cut {
+    /// Closes the open interval into the trace (nothing if it is empty).
+    fn close(&mut self) {
+        if let Some(summary) = self.open.close(self.trace.len() as u64) {
+            self.trace.intervals.push(RecordedInterval {
+                events: std::mem::take(&mut self.events),
+                summary,
+            });
+        }
+    }
 }
 
 /// A process-shared cache location for tests: all figure tests reuse the

@@ -5,8 +5,11 @@
 
 use tpcp_core::ClassifierConfig;
 use tpcp_experiments::figures;
-use tpcp_experiments::suite::test_cache;
-use tpcp_experiments::{run_classifier, Engine, EngineError, SuiteParams, SweepError, Table};
+use tpcp_experiments::suite::{simulate_one, test_cache};
+use tpcp_experiments::{
+    run_classifier, ClassifiedRun, Engine, EngineError, EngineStats, Pending, SuiteParams,
+    SweepError, Table, TraceCache,
+};
 use tpcp_workloads::BenchmarkKind;
 
 fn pct(x: f64) -> String {
@@ -889,6 +892,175 @@ fn mid_sweep_cancel_finishes_claimed_group_and_cancels_the_rest() {
         })
     ));
     assert!(second.try_take().is_err());
+}
+
+/// The interval-size ablation's suite, scaled so that its 33 traces
+/// simulate in about two seconds in a debug build while every size still
+/// cuts several intervals (10k, 40k and 160k instructions).
+fn interval_sweep_params() -> SuiteParams {
+    SuiteParams {
+        workload: tpcp_workloads::WorkloadParams {
+            length_scale: 0.0005,
+            interval_size: 40_000,
+            ..Default::default()
+        },
+    }
+}
+
+/// The ablation's parameters for every benchmark, in registration order:
+/// each benchmark at a quarter, one and four times the interval size.
+fn interval_sweep_groups() -> Vec<(BenchmarkKind, SuiteParams)> {
+    let params = interval_sweep_params();
+    let size = params.workload.interval_size;
+    BenchmarkKind::ALL
+        .into_iter()
+        .flat_map(|kind| [size / 4, size, size * 4].map(|s| (kind, params.with_interval_size(s))))
+        .collect()
+}
+
+/// `run_classifier` over `simulate_one` for each of the ablation's
+/// groups, computed once for every test that needs it.
+fn interval_sweep_reference() -> &'static [ClassifiedRun] {
+    static REFERENCE: std::sync::OnceLock<Vec<ClassifiedRun>> = std::sync::OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        interval_sweep_groups()
+            .into_iter()
+            .map(|(kind, params)| {
+                run_classifier(&simulate_one(kind, &params), ClassifierConfig::hpca2005())
+            })
+            .collect()
+    })
+}
+
+/// Runs the interval-size ablation on `cache` with `workers` workers.
+/// Returns its stats, its rendered tables, and each group's run (the
+/// extra registrations share the ablation's own lanes).
+fn run_interval_sweep(
+    cache: &TraceCache,
+    workers: usize,
+) -> (EngineStats, Vec<String>, Vec<ClassifiedRun>) {
+    let mut engine = Engine::new(interval_sweep_params()).with_workers(workers);
+    let tables = figures::ablations::register_interval_sweep(&mut engine);
+    let cells: Vec<_> = interval_sweep_groups()
+        .into_iter()
+        .map(|(kind, params)| engine.classified_at(kind, params, ClassifierConfig::hpca2005()))
+        .collect();
+    let stats = engine.run(cache);
+    let runs = cells.iter().map(Pending::take).collect();
+    (stats, tables().iter().map(Table::render).collect(), runs)
+}
+
+/// A private, empty cache directory.
+fn private_cache(tag: &str) -> (TraceCache, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("tpcp-interval-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    (TraceCache::new(&dir), dir)
+}
+
+/// A cold interval-size ablation simulates each benchmark once, whatever
+/// the worker count: its first load of a benchmark fills the entries of
+/// all three sizes, and the other two hit. A warm rerun only hits, and
+/// every run matches the per-size serial reference.
+#[test]
+fn interval_sweep_simulates_each_benchmark_once() {
+    let reference = interval_sweep_reference();
+    for workers in [1, 2, 8] {
+        let (cache, dir) = private_cache(&format!("cold{workers}"));
+        let (cold, tables, runs) = run_interval_sweep(&cache, workers);
+        let counts = cold.telemetry().cache();
+        assert_eq!(
+            (counts.misses, counts.hits, counts.quarantines),
+            (11, 22, 0),
+            "workers={workers}"
+        );
+        assert_eq!(cold.max_replays_per_trace(), 1, "workers={workers}");
+        assert_eq!(cold.traces_replayed(), 33);
+        assert!(cold.failure_report().is_empty(), "workers={workers}");
+        assert!(
+            runs == reference,
+            "workers={workers}: runs differ from the reference"
+        );
+        // 33 payloads and their 33 index sidecars, no temp files.
+        let files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files.len(), 66, "workers={workers}: {files:?}");
+        assert!(files.iter().all(|f| !f.ends_with(".tmp")), "{files:?}");
+
+        let (warm, warm_tables, warm_runs) = run_interval_sweep(&cache, workers);
+        let counts = warm.telemetry().cache();
+        assert_eq!((counts.misses, counts.hits), (0, 33), "workers={workers}");
+        assert_eq!(warm_tables, tables);
+        assert!(warm_runs == runs);
+        let standalone = figures::ablations::interval_sweep(&cache, &interval_sweep_params());
+        assert_eq!(
+            standalone.iter().map(Table::render).collect::<Vec<_>>(),
+            tables
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A cache whose directory cannot be created (its root is a regular
+/// file) writes nothing, so every load simulates its own trace: each
+/// group still gets the right one, with no panic and no hang.
+#[test]
+fn interval_sweep_without_a_writable_cache_gets_every_trace() {
+    let (_, dir) = private_cache("unwritable");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("not-a-directory");
+    std::fs::write(&file, b"").unwrap();
+    let cache = TraceCache::new(file.join("cache"));
+    let (stats, _, runs) = run_interval_sweep(&cache, 2);
+    let counts = stats.telemetry().cache();
+    assert_eq!((counts.misses, counts.hits, counts.quarantines), (33, 0, 0));
+    assert_eq!(stats.max_replays_per_trace(), 1);
+    assert!(stats.failure_report().is_empty());
+    assert!(runs == interval_sweep_reference());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sibling entry that exists but is corrupt is not the fill's to
+/// repair: the first load of its benchmark leaves it in place, and its
+/// own load quarantines it (the evidence keeps the corrupt bytes) and
+/// simulates it again.
+#[test]
+fn corrupt_sibling_is_quarantined_by_its_own_load() {
+    let (cache, dir) = private_cache("sibling");
+    std::fs::create_dir_all(&dir).unwrap();
+    let kind = BenchmarkKind::GzipGraphic;
+    let params = interval_sweep_params();
+    let sibling = params.with_interval_size(4 * params.workload.interval_size);
+    // The cache's entry name: label, parameter fingerprint, trace format.
+    let payload = dir.join(format!(
+        "{}-{}-{}.tpcptrc",
+        kind.label().replace('/', "_"),
+        sibling.fingerprint(),
+        tpcp_trace::TRACE_FORMAT.to_ascii_lowercase()
+    ));
+    std::fs::write(&payload, b"corrupt sibling").unwrap();
+
+    // One worker claims gzip/g at 10k (which simulates 10k and 40k), then
+    // 40k (a hit), then 160k, whose load finds the corrupt entry.
+    let (stats, _, runs) = run_interval_sweep(&cache, 1);
+    let counts = stats.telemetry().cache();
+    assert_eq!(
+        (counts.misses, counts.hits, counts.quarantines),
+        (12, 21, 1)
+    );
+    let key = format!("{}-{}", kind.label(), sibling.fingerprint());
+    assert_eq!(stats.replay_counts()[&key], 2);
+    assert_eq!(stats.max_replays_per_trace(), 2);
+    let evidence = std::path::PathBuf::from(format!("{}.corrupt", payload.display()));
+    assert_eq!(
+        stats.failure_report().quarantined(),
+        std::slice::from_ref(&evidence)
+    );
+    assert_eq!(std::fs::read(&evidence).unwrap(), b"corrupt sibling");
+    assert!(stats.failure_report().failures().is_empty());
+    assert!(runs == interval_sweep_reference());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 mod randomized {

@@ -7,8 +7,17 @@
 //! and interval summary, in order. A classifier's output depends only on
 //! the events and CPIs it is fed, so equal streams imply equal phase IDs
 //! under any classifier configuration.
+//!
+//! The multi-size recorder that fills the trace cache (one simulation cut
+//! at several interval sizes) must record, for every size, exactly the
+//! trace that a simulation at that size records.
 
-use tpcp_trace::{encode_trace, BranchEvent, IntervalSummary, RecordedTrace, StreamingDecoder};
+use tpcp_experiments::suite::simulate_sizes;
+use tpcp_experiments::SuiteParams;
+use tpcp_trace::{
+    encode_trace, encode_trace_with_index, BranchEvent, IntervalSummary, RecordedTrace,
+    StreamingDecoder,
+};
 use tpcp_workloads::{BenchmarkKind, WorkloadParams};
 
 fn tiny_params() -> WorkloadParams {
@@ -79,5 +88,64 @@ fn all_eleven_models_round_trip() {
             );
             assert_eq!(got.1, want.1, "{label} {path}: interval summaries diverged");
         }
+    }
+}
+
+/// The trace one simulation of `kind` at interval size `size` records.
+fn recorded_at(kind: BenchmarkKind, params: WorkloadParams, size: u64) -> RecordedTrace {
+    let params = WorkloadParams {
+        interval_size: size,
+        ..params
+    };
+    RecordedTrace::record(kind.build(&params).simulate(&params))
+}
+
+/// `simulate_sizes` at `sizes` equals a separate simulation at each size:
+/// the same intervals, the same encoded payload and the same index.
+fn assert_cuts_match(kind: BenchmarkKind, params: WorkloadParams, sizes: &[u64]) {
+    let cuts = simulate_sizes(kind, &SuiteParams { workload: params }, sizes);
+    assert_eq!(cuts.len(), sizes.len());
+    for (&size, cut) in sizes.iter().zip(&cuts) {
+        let label = format!("{} at {size}", kind.label());
+        let want = recorded_at(kind, params, size);
+        assert_eq!(cut.len(), want.len(), "{label}: interval counts");
+        assert!(*cut == want, "{label}: recorded traces differ");
+        let (bytes, index) = encode_trace_with_index(cut);
+        let (want_bytes, want_index) = encode_trace_with_index(&want);
+        assert!(bytes == want_bytes, "{label}: encoded payloads differ");
+        assert_eq!(index, want_index, "{label}: interval indexes differ");
+    }
+}
+
+/// A tenth of `tiny_params`' length at a tenth of its interval size: as
+/// many intervals per trace, at a tenth of the simulation time, which
+/// matters here because each model is simulated four times.
+#[test]
+fn one_simulation_cuts_every_interval_size_like_its_own_simulation() {
+    let params = WorkloadParams {
+        length_scale: 0.002,
+        interval_size: 100_000,
+        ..Default::default()
+    };
+    let size = params.interval_size;
+    for kind in BenchmarkKind::ALL {
+        assert_cuts_match(kind, params, &[size / 4, size, size * 4]);
+    }
+}
+
+/// Extreme cuts of one short run: every block its own interval (size 1),
+/// a prime size, a size past the whole program (one truncated interval),
+/// and a list that repeats a size.
+#[test]
+fn extreme_and_repeated_interval_sizes_cut_like_their_own_simulations() {
+    let params = WorkloadParams {
+        length_scale: 0.0005,
+        ..Default::default()
+    };
+    for kind in BenchmarkKind::ALL {
+        let whole = recorded_at(kind, params, u64::MAX);
+        assert_eq!(whole.len(), 1, "{}: one truncated interval", kind.label());
+        let past_the_end = whole.total_instructions() + 1;
+        assert_cuts_match(kind, params, &[1, 7_919, past_the_end, 7_919]);
     }
 }

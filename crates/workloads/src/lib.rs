@@ -53,4 +53,4 @@ mod sim;
 pub use models::{BenchmarkKind, ParseBenchmarkError, MODEL_VERSION};
 pub use region::{Block, Region, StreamSpec};
 pub use script::{ScriptIter, ScriptNode};
-pub use sim::{Benchmark, WorkloadParams, WorkloadSim};
+pub use sim::{Benchmark, OpenInterval, WorkloadParams, WorkloadSim};

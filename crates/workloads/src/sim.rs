@@ -146,7 +146,6 @@ pub struct WorkloadSim {
     run_remaining: u64,
     interval_size: u64,
     next_index: u64,
-    finished: bool,
     memory: MemoryHierarchy,
     branches: HybridPredictor,
     timing: TimingModel,
@@ -177,7 +176,6 @@ impl WorkloadSim {
             run_remaining: 0,
             interval_size: params.interval_size,
             next_index: 0,
-            finished: false,
             memory: MemoryHierarchy::new(&params.machine),
             branches: HybridPredictor::hpca2005(),
             timing: TimingModel::new(params.machine),
@@ -296,8 +294,25 @@ impl WorkloadSim {
         true
     }
 
-    fn current_region(&self) -> usize {
-        self.runs[self.run_cursor - 1].0
+    /// Executes the program's next dynamic basic block: its branch event,
+    /// the cycles charged to it and its event counts, or `None` at the end
+    /// of the program. Interval size plays no part in it, so one block
+    /// stream can be cut at any interval size ([`OpenInterval`]).
+    pub fn next_block(&mut self) -> Option<(BranchEvent, u64, MetricCounts)> {
+        if !self.advance_run() {
+            return None;
+        }
+        let region = self.runs[self.run_cursor - 1].0;
+        let (event, cycles, counts) = self.execute_block(region);
+        self.run_remaining = self.run_remaining.saturating_sub(u64::from(event.insns));
+        let metrics = MetricCounts {
+            il1_misses: counts.il1_misses,
+            dl1_misses: counts.dl1_misses,
+            l2_misses: counts.l2_misses,
+            tlb_misses: counts.tlb_misses,
+            branch_mispredictions: counts.branch_mispredictions,
+        };
+        Some((event, cycles, metrics))
     }
 
     /// Sets the number of active data-cache ways for subsequent execution
@@ -320,39 +335,56 @@ impl WorkloadSim {
 
 impl IntervalSource for WorkloadSim {
     fn next_interval(&mut self, on_event: &mut dyn FnMut(BranchEvent)) -> Option<IntervalSummary> {
-        if self.finished {
-            return None;
-        }
-        let mut instructions = 0u64;
-        let mut cycles = 0u64;
-        let mut metrics = MetricCounts::default();
-        while instructions < self.interval_size {
-            if !self.advance_run() {
-                self.finished = true;
+        let mut open = OpenInterval::default();
+        while let Some((event, cycles, metrics)) = self.next_block() {
+            on_event(event);
+            if open.add(event, cycles, &metrics, self.interval_size) {
                 break;
             }
-            let region = self.current_region();
-            let (event, block_cycles, block_counts) = self.execute_block(region);
-            let executed = u64::from(event.insns);
-            self.run_remaining = self.run_remaining.saturating_sub(executed);
-            instructions += executed;
-            cycles += block_cycles;
-            metrics.add(&MetricCounts {
-                il1_misses: block_counts.il1_misses,
-                dl1_misses: block_counts.dl1_misses,
-                l2_misses: block_counts.l2_misses,
-                tlb_misses: block_counts.tlb_misses,
-                branch_mispredictions: block_counts.branch_mispredictions,
-            });
-            on_event(event);
         }
-        if instructions == 0 {
-            return None;
-        }
-        let summary =
-            IntervalSummary::new(self.next_index, instructions, cycles).with_metrics(metrics);
+        let summary = open.close(self.next_index)?;
         self.next_index += 1;
         Some(summary)
+    }
+}
+
+/// The interval being filled block by block, and the one rule for where
+/// intervals end: an interval closes at the first block that brings it to
+/// at least the interval size, and a non-empty tail closes at the end of
+/// the program. [`WorkloadSim`]'s own intervals and a recorder that cuts
+/// one block stream at several sizes both follow it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpenInterval {
+    instructions: u64,
+    cycles: u64,
+    metrics: MetricCounts,
+}
+
+impl OpenInterval {
+    /// Adds one block ([`WorkloadSim::next_block`]); returns `true` when
+    /// the interval now holds at least `interval_size` instructions and so
+    /// closes at this block.
+    pub fn add(
+        &mut self,
+        event: BranchEvent,
+        cycles: u64,
+        metrics: &MetricCounts,
+        interval_size: u64,
+    ) -> bool {
+        self.instructions += u64::from(event.insns);
+        self.cycles += cycles;
+        self.metrics.add(metrics);
+        self.instructions >= interval_size
+    }
+
+    /// Closes the interval as the program's interval `index` and leaves an
+    /// empty one open; `None` when it holds no instructions.
+    pub fn close(&mut self, index: u64) -> Option<IntervalSummary> {
+        let interval = std::mem::take(self);
+        (interval.instructions > 0).then(|| {
+            IntervalSummary::new(index, interval.instructions, interval.cycles)
+                .with_metrics(interval.metrics)
+        })
     }
 }
 
